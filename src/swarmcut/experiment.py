@@ -103,10 +103,12 @@ class SuiteConfig:
         if not depths or any(p not in (1, 2, 3) for p in depths):
             raise ValueError(f"depths must be a non-empty subset of (1, 2, 3), got {self.depths}")
         self.depths = depths
-        for name in ("er_edge_prob", "ws_rewire_prob"):
-            prob = getattr(self, name)
-            if not 0.0 <= prob <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {prob}")
+        # Zero is excluded because _generate_instance resamples until the
+        # graph has an edge, which never happens at probability 0.
+        if not 0.0 < self.er_edge_prob <= 1.0:
+            raise ValueError(f"er_edge_prob must be in (0, 1], got {self.er_edge_prob}")
+        if not 0.0 <= self.ws_rewire_prob <= 1.0:
+            raise ValueError(f"ws_rewire_prob must be in [0, 1], got {self.ws_rewire_prob}")
         self.swarm.validate()
 
     def cells(self) -> list[tuple[str, int, int, int]]:

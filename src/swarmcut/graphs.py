@@ -20,12 +20,12 @@ class CapacityError(Exception):
     """Problem size exceeds what exhaustive enumeration / simulation supports."""
 
 
-class GraphParseError(Exception):
-    """Graph file is malformed (bad JSON, self-loop, or duplicate edge)."""
+class GraphParseError(ValueError):
+    """Graph is malformed (bad JSON, self-loop, or duplicate edge)."""
 
 
-class GraphValidationError(Exception):
-    """Graph file is well-formed but internally inconsistent."""
+class GraphValidationError(ValueError):
+    """Graph is well-formed but internally inconsistent (node count, vertex range)."""
 
 
 @dataclass(frozen=True)
@@ -37,17 +37,18 @@ class Graph:
 
     def __post_init__(self):
         if self.n < 1:
-            raise ValueError(f"node count must be >= 1, got {self.n}")
+            raise GraphValidationError(f"node count must be >= 1, got {self.n}")
         seen = set()
         normalized = []
         for i, j in self.edges:
             if i == j:
-                raise ValueError(f"self-loop at vertex {i}")
+                raise GraphParseError(f"self-loop at vertex {i}")
             if not (0 <= i < self.n and 0 <= j < self.n):
-                raise ValueError(f"edge ({i}, {j}) out of range for n={self.n}")
+                raise GraphValidationError(
+                    f"edge ({i}, {j}) references a vertex outside 0..{self.n - 1}")
             key = (min(i, j), max(i, j))
             if key in seen:
-                raise ValueError(f"duplicate edge {key}")
+                raise GraphParseError(f"duplicate edge {key}")
             seen.add(key)
             normalized.append(key)
         object.__setattr__(self, "edges", tuple(sorted(normalized)))
@@ -62,6 +63,14 @@ class Graph:
         for i, j in self.edges:
             adj[i, j] = adj[j, i] = 1
         return adj
+
+    @cached_property
+    def cut_spectrum(self) -> np.ndarray:
+        """Cut size of every partition mask 0..2^n-1, built once per graph
+        and read-only, so every consumer can share it."""
+        values = cut_values_all_masks(self)
+        values.flags.writeable = False
+        return values
 
 
 @dataclass(frozen=True)
@@ -152,7 +161,7 @@ def cut_values_all_masks(g: Graph) -> np.ndarray:
 
 def max_cut_bruteforce(g: Graph) -> CutResult:
     """Exact MaxCut by enumerating all 2^n partition masks."""
-    values = cut_values_all_masks(g)
+    values = g.cut_spectrum
     mask = int(np.argmax(values))
     return CutResult(value=int(values[mask]), mask=mask)
 
@@ -183,6 +192,11 @@ def write_graph(path, g: Graph) -> None:
         f.write("\n")
 
 
+def _is_json_int(value) -> bool:
+    # bool subclasses int, but JSON true/false is not a vertex or a count.
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def read_graph(path) -> Graph:
     """Read a graph JSON file ({"n": int, "edges": [[i, j], ...]})."""
     with open(path, "r", encoding="utf-8") as f:
@@ -192,23 +206,15 @@ def read_graph(path) -> Graph:
             raise GraphParseError(f"{path}: line {e.lineno}: {e.msg}") from e
     if not isinstance(doc, dict) or "n" not in doc or "edges" not in doc:
         raise GraphParseError(f"{path}: expected an object with 'n' and 'edges'")
-    n = doc["n"]
-    if not isinstance(n, int) or n < 1:
+    n, entries = doc["n"], doc["edges"]
+    if not _is_json_int(n):
         raise GraphValidationError(f"{path}: 'n' must be a positive integer, got {n!r}")
-    seen = set()
-    edges = []
-    for entry in doc["edges"]:
-        if not (isinstance(entry, list) and len(entry) == 2
-                and all(isinstance(x, int) for x in entry)):
+    if not isinstance(entries, list):
+        raise GraphParseError(f"{path}: 'edges' must be a list, got {entries!r}")
+    for entry in entries:
+        if not (isinstance(entry, list) and len(entry) == 2 and all(map(_is_json_int, entry))):
             raise GraphParseError(f"{path}: bad edge entry {entry!r}")
-        i, j = entry
-        if i == j:
-            raise GraphParseError(f"{path}: self-loop at vertex {i}")
-        if not (0 <= i < n and 0 <= j < n):
-            raise GraphValidationError(f"{path}: edge ({i}, {j}) references a vertex outside 0..{n - 1}")
-        key = (min(i, j), max(i, j))
-        if key in seen:
-            raise GraphParseError(f"{path}: duplicate edge {key}")
-        seen.add(key)
-        edges.append(key)
-    return Graph(n, tuple(edges))
+    try:
+        return Graph(n, tuple(map(tuple, entries)))
+    except (GraphParseError, GraphValidationError) as e:
+        raise type(e)(f"{path}: {e}") from e

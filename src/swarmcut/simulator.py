@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _statevec
-from .graphs import MAX_NODES, CapacityError, Graph, cut_values_all_masks
+from .graphs import MAX_NODES, CapacityError, Graph
 
 LANDSCAPE_DEFAULT_RANGE = (-math.pi, math.pi)
 LANDSCAPE_DEFAULT_RESOLUTION = 64
@@ -59,9 +59,10 @@ def _check_capacity(n: int) -> None:
 
 
 def build_cut_spectrum(g: Graph) -> np.ndarray:
-    """Diagonal of the cost Hamiltonian: entry z is the cut size of mask z."""
+    """Diagonal of the cost Hamiltonian: entry z is the cut size of mask z.
+    The graph's read-only cached spectrum, shared by every caller."""
     _check_capacity(g.n)
-    return cut_values_all_masks(g)
+    return g.cut_spectrum
 
 
 def init_plus_state(n: int) -> np.ndarray:
@@ -96,16 +97,16 @@ def apply_mixer_layer(state: np.ndarray, beta: float) -> np.ndarray:
 class ExpectationEvaluator:
     """Repeated expectation evaluation for one graph.
 
-    Caches the cut spectrum and reuses a single amplitude buffer, so an
-    optimizer can evaluate thousands of parameter vectors without
-    reallocating 2^n-sized arrays.
+    Reads the graph's cached cut spectrum and reuses a single amplitude
+    buffer, so an optimizer can evaluate thousands of parameter vectors
+    without rebuilding or reallocating 2^n-sized arrays.
     """
 
     def __init__(self, g: Graph):
         _check_capacity(g.n)
         self.graph = g
         self.n = g.n
-        self.spectrum = build_cut_spectrum(g)
+        self.spectrum = g.cut_spectrum
         self._max_value = int(self.spectrum.max(initial=0))
         self._amps = np.empty(1 << g.n, dtype=np.complex128)
         self._init_amp = 1.0 / math.sqrt(1 << g.n)

@@ -36,6 +36,11 @@ def _x_sum(n):
     return total
 
 
+def dense_mixer(n, beta):
+    """exp(-i*beta*X) on every qubit, as one dense 2^n x 2^n matrix."""
+    return reduce(np.kron, [expm(-1j * beta * X)] * n)
+
+
 def dense_state(n, edges, gammas, betas):
     """State after p alternating layers, built from explicit dense unitaries."""
     size = 2 ** n
@@ -43,8 +48,7 @@ def dense_state(n, edges, gammas, betas):
     psi = np.full(size, 1 / np.sqrt(size), dtype=complex)
     for g, b in zip(gammas, betas):
         cost_u = np.diag(np.exp(-1j * g * values))
-        mixer_u = reduce(np.kron, [expm(-1j * b * X)] * n)
-        psi = mixer_u @ (cost_u @ psi)
+        psi = dense_mixer(n, b) @ (cost_u @ psi)
     return psi
 
 

@@ -176,6 +176,7 @@ class TestSuiteConfig:
         {"node_lo": 2}, {"node_lo": 5, "node_hi": 4}, {"node_hi": 25},
         {"models": ()}, {"models": ("ER", "BA")}, {"depths": (0,)},
         {"depths": (4,)}, {"instances_per_size": 0}, {"er_edge_prob": 1.5},
+        {"er_edge_prob": 0.0},
     ])
     def test_invalid(self, kwargs):
         with pytest.raises(ValueError):

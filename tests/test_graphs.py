@@ -16,7 +16,10 @@ from swarmcut import (
     write_graph,
     ws_k_for,
 )
+from swarmcut import graphs
 from swarmcut.graphs import cut_size, cut_values_all_masks
+from swarmcut.optimizer import SwarmConfig, adam_fipso_optimize
+from swarmcut.simulator import ExpectationEvaluator, build_cut_spectrum
 
 from dense_oracle import cut_size_loop
 
@@ -49,6 +52,24 @@ class TestGraphType:
     def test_out_of_range_edge_rejected(self):
         with pytest.raises(ValueError):
             Graph(3, ((0, 3),))
+
+    def test_cut_spectrum_built_once_and_read_only(self, monkeypatch):
+        calls = []
+
+        def counting(g):
+            calls.append(g)
+            return cut_values_all_masks(g)
+
+        monkeypatch.setattr(graphs, "cut_values_all_masks", counting)
+        g = generate_er(6, 0.5, seed=3)
+        target = max_cut_bruteforce(g).value
+        build_cut_spectrum(g)
+        ExpectationEvaluator(g).expectation([0.3], [0.2])
+        adam_fipso_optimize(g, 1, float(target), SwarmConfig(swarm_size=2, max_iters=1))
+        assert len(calls) == 1
+        assert g.cut_spectrum is build_cut_spectrum(g)
+        with pytest.raises(ValueError):
+            g.cut_spectrum[0] = 1
 
 
 class TestGenerateEr:
@@ -209,7 +230,19 @@ class TestGraphIo:
     def test_self_loop_is_parse_error(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"n": 6, "edges": [[5, 5]]}')
-        with pytest.raises(GraphParseError):
+        with pytest.raises(GraphParseError, match="bad.json: self-loop"):
+            read_graph(path)
+
+    @pytest.mark.parametrize("text,error", [
+        ('{"n": true, "edges": []}', GraphValidationError),
+        ('{"n": 0, "edges": []}', GraphValidationError),
+        ('{"n": 3, "edges": [[true, false]]}', GraphParseError),
+        ('{"n": 3, "edges": 5}', GraphParseError),
+    ])
+    def test_malformed_fields_rejected(self, tmp_path, text, error):
+        path = tmp_path / "g.json"
+        path.write_text(text)
+        with pytest.raises(error, match="g.json"):
             read_graph(path)
 
     def test_duplicate_edge_is_parse_error(self, tmp_path):

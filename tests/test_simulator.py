@@ -14,9 +14,9 @@ from swarmcut.simulator import (
     landscape_grid,
     write_landscape_csv,
 )
-from swarmcut import _statevec_py
+from swarmcut import _statevec
 
-from dense_oracle import dense_expectation
+from dense_oracle import dense_expectation, dense_mixer
 
 P2 = Graph(2, ((0, 1),))
 K3 = Graph(3, ((0, 1), (0, 2), (1, 2)))
@@ -263,23 +263,15 @@ class TestLandscape:
             assert float(e_txt) == grid[a, b]
 
 
-class TestBackendParity:
-    """The compiled and pure-python kernels must agree to rounding."""
+class TestMixerKernel:
+    """The grouped mixer against the dense Kronecker product, from one
+    partial group (n < 4) through remainders of 1-3 qubits to three groups."""
 
-    def test_kernels_agree(self):
-        cy = pytest.importorskip("swarmcut._statevec_cy")
-        rng = np.random.default_rng(77)
-        g = generate_er(6, 0.5, seed=5)
-        values = build_cut_spectrum(g)
-        table = np.exp(-1j * 0.9 * np.arange(values.max() + 1, dtype=float))
-        state_py = init_plus_state(6)
-        state_cy = state_py.copy()
-        for _ in range(3):
-            _statevec_py.apply_phase_table(state_py, values, table)
-            cy.apply_phase_table(state_cy, values, table)
-            beta = float(rng.uniform(-np.pi, np.pi))
-            _statevec_py.apply_mixer(state_py, 6, beta)
-            cy.apply_mixer(state_cy, 6, beta)
-        np.testing.assert_allclose(state_cy, state_py, atol=1e-14)
-        assert abs(cy.expectation_value(state_cy, values)
-                   - _statevec_py.expectation_value(state_py, values)) < 1e-12
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_matches_dense_oracle(self, n):
+        rng = np.random.default_rng(77 + n)
+        state = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+        for beta in rng.uniform(-np.pi, np.pi, 3):
+            expected = dense_mixer(n, beta) @ state
+            _statevec.apply_mixer(state, n, beta)
+            np.testing.assert_allclose(state, expected, rtol=0, atol=1e-12)
