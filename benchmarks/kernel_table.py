@@ -1,0 +1,110 @@
+"""Per-n kernel timings: one mixer layer and one full p = 3 expectation.
+
+    python3 benchmarks/kernel_table.py --src new=src --src old=../old/src > table.json
+
+Each ``--src LABEL=PATH`` is a checkout's ``src/`` directory; the default is
+this checkout's. For every n = 3..20 each source is timed ROUNDS times, each
+time in a fresh interpreter, the sources alternating, so the speed drift of a
+shared machine falls on all of them alike. A round's timing is the median of
+REPEATS repeats, each the mean over enough calls to last at least 0.2 s; the
+table holds the median over rounds. The state is random, the
+graph is G(n, 0.5) with seed 0 and the angles are fixed. BLAS keeps its
+default thread count; OPENBLAS_NUM_THREADS, when set, is recorded.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import timeit
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+NODES = range(3, 21)
+REPEATS = 7
+ROUNDS = 3
+GAMMA = (0.41, -0.73, 1.12)
+BETA = (0.29, 0.57, -0.38)
+
+
+def _median_us(fn) -> float:
+    timer = timeit.Timer(fn)
+    number, _ = timer.autorange()
+    return statistics.median(timer.repeat(REPEATS, number)) / number * 1e6
+
+
+def measure(n: int) -> dict:
+    """Time the swarmcut on sys.path at one n."""
+    import inspect
+
+    import numpy as np
+
+    from swarmcut import _statevec, generate_er
+    from swarmcut.simulator import ExpectationEvaluator
+
+    rng = np.random.default_rng(n)
+    amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+    amps /= np.linalg.norm(amps)
+    # Engines without the rotating layout take no scratch argument.
+    extra = (np.empty_like(amps),) if len(inspect.signature(_statevec.apply_mixer).parameters) > 3 else ()
+    ev = ExpectationEvaluator(generate_er(n, 0.5, 0))
+    return {
+        "mixer_us": _median_us(lambda: _statevec.apply_mixer(amps, n, BETA[0], *extra)),
+        "eval_p3_us": _median_us(lambda: ev.expectation(GAMMA, BETA)),
+    }
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--src", action="append", metavar="LABEL=PATH",
+                        help="a checkout's src/ directory, repeatable (default: this checkout)")
+    parser.add_argument("--worker", nargs=2, metavar=("PATH", "N"), help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.worker:
+        sys.path.insert(0, args.worker[0])
+        print(json.dumps(measure(int(args.worker[1]))))
+        return 0
+
+    sources = dict(s.split("=", 1) for s in args.src or [f"this={ROOT / 'src'}"])
+    rows = []
+    for n in NODES:
+        samples = {}
+        for _ in range(ROUNDS):
+            for label, path in sources.items():
+                out = subprocess.run([sys.executable, __file__, "--worker", str(Path(path).resolve()), str(n)],
+                                     check=True, capture_output=True, text=True).stdout
+                for key, value in json.loads(out).items():
+                    samples.setdefault(key, {}).setdefault(label, []).append(value)
+        row = {"n": n, **{key: {label: round(statistics.median(v), 1) for label, v in by_label.items()}
+                          for key, by_label in samples.items()}}
+        rows.append(row)
+        print(json.dumps(row), file=sys.stderr)
+
+    import numpy as np
+
+    try:
+        cpuinfo = Path("/proc/cpuinfo").read_text().splitlines()
+    except OSError:
+        cpuinfo = []
+    cpu = next((line.split(":", 1)[1].strip() for line in cpuinfo if line.startswith("model name")),
+               platform.machine())
+    print(json.dumps({
+        "what": "us per mixer layer and per full p = 3 expectation, median over "
+                f"{ROUNDS} alternating rounds of the median of {REPEATS} repeats, "
+                "G(n, 0.5) seed 0, random state",
+        "machine": {"cpu": cpu, "nproc": os.cpu_count(),
+                    "python": platform.python_version(), "numpy": np.__version__,
+                    "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS")},
+        "sources": sources,
+        "rows": rows,
+    }, indent=1))
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

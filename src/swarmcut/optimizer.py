@@ -130,9 +130,15 @@ def approx_ratio(c_hat: float, c_target: float) -> float:
 def make_objective(g: Graph, p: int, c_target: float, lambda_: float) -> Callable[[np.ndarray], float]:
     """Loss over 2p-vectors theta = (gamma_1..p, beta_1..p):
     (C_hat - c_target)^2 + lambda * (1 - AR)^2."""
+    return _loss_from_evaluator(ExpectationEvaluator(g), p, c_target, lambda_)
+
+
+def _loss_from_evaluator(ev: ExpectationEvaluator, p: int, c_target: float,
+                         lambda_: float) -> Callable[[np.ndarray], float]:
+    """make_objective's loss on an existing evaluator, so a caller that also
+    needs plain expectations holds one set of state buffers."""
     if c_target < 0:
         raise ValueError(f"target cut must be non-negative, got {c_target}")
-    ev = ExpectationEvaluator(g)
 
     def loss(theta: np.ndarray) -> float:
         c_hat = ev.expectation(theta[:p], theta[p:])
@@ -284,8 +290,7 @@ def adam_fipso_optimize(g: Graph, p: int, c_target: float, cfg: SwarmConfig) -> 
     if p < 1:
         raise ValueError(f"depth must be >= 1, got {p}")
     bounds = _normalize_bounds(cfg.bounds if cfg.bounds is not None else DEFAULT_BOUND, dim=2 * p)
-    loss = make_objective(g, p, c_target, cfg.lambda_)
-    result = minimize(loss, bounds, cfg)
     ev = ExpectationEvaluator(g)
+    result = minimize(_loss_from_evaluator(ev, p, c_target, cfg.lambda_), bounds, cfg)
     result.best_expectation = ev.expectation(result.best_position[:p], result.best_position[p:])
     return result

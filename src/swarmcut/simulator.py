@@ -97,7 +97,8 @@ def apply_mixer_layer(state: np.ndarray, beta: float) -> np.ndarray:
 class ExpectationEvaluator:
     """Repeated expectation evaluation for one graph.
 
-    Reads the graph's cached cut spectrum and reuses a single amplitude
+    Reads the graph's cached cut spectrum, keeps a float64 copy of it for
+    the reduction, and reuses one amplitude buffer and the mixer's scratch
     buffer, so an optimizer can evaluate thousands of parameter vectors
     without rebuilding or reallocating 2^n-sized arrays.
     """
@@ -108,7 +109,9 @@ class ExpectationEvaluator:
         self.n = g.n
         self.spectrum = g.cut_spectrum
         self._max_value = int(self.spectrum.max(initial=0))
+        self._values = self.spectrum.astype(np.float64)
         self._amps = np.empty(1 << g.n, dtype=np.complex128)
+        self._scratch = np.empty_like(self._amps)
         self._init_amp = 1.0 / math.sqrt(1 << g.n)
 
     def expectation(self, gamma, beta) -> float:
@@ -116,8 +119,8 @@ class ExpectationEvaluator:
         amps.fill(self._init_amp)
         for g_k, b_k in zip(gamma, beta):
             _statevec.apply_phase_table(amps, self.spectrum, _phase_table(self._max_value, g_k))
-            _statevec.apply_mixer(amps, self.n, b_k)
-        return _statevec.expectation_value(amps, self.spectrum)
+            _statevec.apply_mixer(amps, self.n, b_k, self._scratch)
+        return _statevec.expectation_value(amps, self._values)
 
     def expectation_vector(self, theta) -> float:
         params = QaoaParams.from_vector(theta)

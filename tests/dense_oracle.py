@@ -41,6 +41,19 @@ def dense_mixer(n, beta):
     return reduce(np.kron, [expm(-1j * beta * X)] * n)
 
 
+def qubitwise_mixer(state, n, beta):
+    """exp(-i*beta*X) on every qubit as n separate 2x2 butterflies, for sizes
+    where the dense 2^n x 2^n matrix does not fit. Returns a new array."""
+    c, s = np.cos(beta), -1j * np.sin(beta)
+    out = np.array(state, dtype=complex)
+    for q in range(n):
+        pairs = out.reshape(-1, 2, 1 << q)
+        zero, one = pairs[:, 0, :].copy(), pairs[:, 1, :].copy()
+        pairs[:, 0, :] = c * zero + s * one
+        pairs[:, 1, :] = s * zero + c * one
+    return out
+
+
 def dense_state(n, edges, gammas, betas):
     """State after p alternating layers, built from explicit dense unitaries."""
     size = 2 ** n

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from swarmcut import CapacityError, Graph, generate_er, max_cut_bruteforce, qaoa_expectation
 from swarmcut.simulator import (
@@ -16,10 +18,16 @@ from swarmcut.simulator import (
 )
 from swarmcut import _statevec
 
-from dense_oracle import dense_expectation, dense_mixer
+from dense_oracle import dense_expectation, dense_mixer, qubitwise_mixer
 
 P2 = Graph(2, ((0, 1),))
 K3 = Graph(3, ((0, 1), (0, 2), (1, 2)))
+
+
+def random_state(n, seed):
+    rng = np.random.default_rng(seed)
+    state = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+    return state / np.linalg.norm(state)
 
 
 def random_graph_and_params(rng, n_max=5, p_max=3):
@@ -138,6 +146,13 @@ class TestMixerLayer:
         apply_mixer_layer(state, math.pi / 4)
         np.testing.assert_allclose(
             state, [math.cos(math.pi / 4), -1j * math.sin(math.pi / 4)], atol=1e-15)
+
+    @pytest.mark.parametrize("n", [3, 8, 12, 13])
+    def test_in_place(self, n):
+        state = random_state(n, n)
+        expected = qubitwise_mixer(state, n, 0.8)
+        assert apply_mixer_layer(state, 0.8) is state
+        np.testing.assert_allclose(state, expected, rtol=0, atol=1e-12)
 
 
 class TestExpectation:
@@ -264,8 +279,10 @@ class TestLandscape:
 
 
 class TestMixerKernel:
-    """The grouped mixer against the dense Kronecker product, from one
-    partial group (n < 4) through remainders of 1-3 qubits to three groups."""
+    """The rotating-layout mixer against two independent references: the
+    dense Kronecker product from one partial group (n < 4) through
+    remainders of 1-3 qubits to three groups, and per-qubit butterflies up
+    to n = 16, beyond the dense matrix, with odd and even group counts."""
 
     @pytest.mark.parametrize("n", range(1, 10))
     def test_matches_dense_oracle(self, n):
@@ -275,3 +292,90 @@ class TestMixerKernel:
             expected = dense_mixer(n, beta) @ state
             _statevec.apply_mixer(state, n, beta)
             np.testing.assert_allclose(state, expected, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_qubitwise_oracle_matches_dense(self, n):
+        state = random_state(n, n)
+        np.testing.assert_allclose(qubitwise_mixer(state, n, 0.9), dense_mixer(n, 0.9) @ state,
+                                   rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("n", range(10, 17))
+    def test_matches_qubitwise_oracle(self, n):
+        rng = np.random.default_rng(177 + n)
+        state = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+        scratch = np.empty_like(state)
+        for beta in rng.uniform(-np.pi, np.pi, 2):
+            expected = qubitwise_mixer(state, n, beta)
+            _statevec.apply_mixer(state, n, beta, scratch)
+            np.testing.assert_allclose(state, expected, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("with_scratch", [False, True])
+    @pytest.mark.parametrize("n", [3, 8, 12, 13])
+    def test_result_lands_in_callers_array(self, n, with_scratch):
+        state = random_state(n, 5 + n)
+        expected = qubitwise_mixer(state, n, -1.3)
+        scratch = np.empty_like(state) if with_scratch else None
+        _statevec.apply_mixer(state, n, -1.3, scratch)
+        np.testing.assert_allclose(state, expected, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("make_scratch", [
+        lambda buf, size: buf[:size],
+        lambda buf, size: buf[size // 2:size // 2 + size],
+        lambda buf, size: buf[:2 * size:2],
+        lambda buf, size: np.empty(size // 2, dtype=complex),
+        lambda buf, size: np.empty(size, dtype=np.complex64),
+    ], ids=["same", "overlapping", "strided", "short", "complex64"])
+    def test_bad_scratch_rejected(self, make_scratch):
+        n = 6
+        buf = random_state(n + 1, 3)
+        state = buf[:1 << n]
+        before = state.copy()
+        with pytest.raises(ValueError):
+            _statevec.apply_mixer(state, n, 0.5, make_scratch(buf, 1 << n))
+        np.testing.assert_array_equal(state, before)
+
+    def test_strided_state(self):
+        state = random_state(7, 4)[::2]
+        expected = qubitwise_mixer(state, 6, 0.5)
+        _statevec.apply_mixer(state, 6, 0.5)
+        np.testing.assert_allclose(state, expected, rtol=0, atol=1e-12)
+
+    def test_non_contiguous_2d_state_rejected(self):
+        state = random_state(7, 4).reshape(8, 16)[:, ::2]
+        with pytest.raises(ValueError):
+            _statevec.apply_mixer(state, 6, 0.5)
+
+
+# derandomize keeps the suite's outcome fixed from run to run; database=None
+# leaves no example directory behind.
+MIXER_PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+qubit_counts = st.integers(1, 14)
+seeds = st.integers(0, 2**32 - 1)
+angles = st.floats(-math.pi, math.pi)
+
+
+class TestMixerProperties:
+    @MIXER_PROPERTY
+    @given(n=qubit_counts, seed=seeds, beta=angles)
+    def test_preserves_norm(self, n, seed, beta):
+        state = random_state(n, seed)
+        _statevec.apply_mixer(state, n, beta)
+        assert abs(np.linalg.norm(state) - 1.0) < 1e-12
+
+    @MIXER_PROPERTY
+    @given(n=qubit_counts, seed=seeds, beta1=angles, beta2=angles)
+    def test_angles_add(self, n, seed, beta1, beta2):
+        state = random_state(n, seed)
+        combined = state.copy()
+        _statevec.apply_mixer(state, n, beta1)
+        _statevec.apply_mixer(state, n, beta2)
+        _statevec.apply_mixer(combined, n, beta1 + beta2)
+        np.testing.assert_allclose(state, combined, rtol=0, atol=1e-12)
+
+    @MIXER_PROPERTY
+    @given(n=qubit_counts, seed=seeds)
+    def test_zero_angle_is_identity(self, n, seed):
+        state = random_state(n, seed)
+        before = state.copy()
+        _statevec.apply_mixer(state, n, 0.0)
+        np.testing.assert_allclose(state, before, rtol=0, atol=1e-15)
