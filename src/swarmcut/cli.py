@@ -48,9 +48,27 @@ def _parse_float_range(text: str) -> tuple[float, float]:
     if not m:
         raise argparse.ArgumentTypeError(f"expected lo..hi, got {text!r}")
     lo, hi = float(m.group(1)), float(m.group(2))
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise argparse.ArgumentTypeError(f"range bounds must be finite, got {text!r}")
     if not lo < hi:
         raise argparse.ArgumentTypeError(f"range must satisfy lo < hi, got {text!r}")
     return lo, hi
+
+
+def _int_at_least(low: int):
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
+        if value < low:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {value}")
+        return value
+    return parse
+
+
+_parse_seed = _int_at_least(0)
+_parse_resolution = _int_at_least(2)
 
 
 def _parse_models(text: str) -> tuple[str, ...]:
@@ -67,6 +85,10 @@ def _parse_depths(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
 
 
+class UsageError(Exception):
+    """A bad input outside argv, such as an environment variable: exit 2."""
+
+
 def _resolve_seed(flag_value, config_seed=None) -> int:
     if flag_value is not None:
         return flag_value
@@ -74,7 +96,10 @@ def _resolve_seed(flag_value, config_seed=None) -> int:
         return config_seed
     env = os.environ.get(SEED_ENV_VAR)
     if env is not None:
-        return int(env)
+        try:
+            return _parse_seed(env)
+        except argparse.ArgumentTypeError as exc:
+            raise UsageError(f"{SEED_ENV_VAR}: {exc}")
     return DEFAULT_SEED
 
 
@@ -176,7 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="comma-separated circuit depths (default: 1,2,3)")
     p_suite.add_argument("--instances", type=int, default=5,
                          help="graph instances per size (default: 5)")
-    p_suite.add_argument("--seed", type=int, default=None, help="base seed for the whole suite")
+    p_suite.add_argument("--seed", type=_parse_seed, default=None, help="base seed for the whole suite")
     p_suite.add_argument("--out", default="results.csv", help="results CSV path (default: results.csv)")
     p_suite.add_argument("--config", default=None, help="swarm config JSON path")
     p_suite.add_argument("--jobs", type=int, default=1, help="parallel instance workers (default: 1)")
@@ -186,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_opt.add_argument("graph", help="graph JSON path")
     p_opt.add_argument("--depth", type=int, default=1, help="circuit depth p (default: 1)")
     p_opt.add_argument("--config", default=None, help="swarm config JSON path")
-    p_opt.add_argument("--seed", type=int, default=None, help="swarm seed")
+    p_opt.add_argument("--seed", type=_parse_seed, default=None, help="swarm seed")
     p_opt.set_defaults(func=cmd_optimize)
 
     p_max = sub.add_parser("maxcut", help="brute-force MaxCut of a graph file")
@@ -195,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_land = sub.add_parser("landscape", help="export the depth-1 expectation landscape")
     p_land.add_argument("graph", help="graph JSON path")
-    p_land.add_argument("--resolution", type=int, default=LANDSCAPE_DEFAULT_RESOLUTION,
+    p_land.add_argument("--resolution", type=_parse_resolution, default=LANDSCAPE_DEFAULT_RESOLUTION,
                         help=f"lattice points per axis (default: {LANDSCAPE_DEFAULT_RESOLUTION})")
     p_land.add_argument("--gamma-range", type=_parse_float_range, default=(-math.pi, math.pi),
                         metavar="LO..HI",
@@ -217,9 +242,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except UsageError as exc:
+        parser.error(str(exc))
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
@@ -51,6 +52,13 @@ class SwarmConfig:
     _JSON_ALIASES = {"lambda": "lambda_"}
 
     def validate(self) -> None:
+        for name in ("swarm_size", "max_iters", "seed"):
+            value = getattr(self, name)
+            # bool subclasses int, but true/false is not a count or a seed.
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.swarm_size < 2:
             raise ValueError(f"swarm_size must be >= 2, got {self.swarm_size}")
         if self.max_iters < 1:
@@ -216,6 +224,7 @@ def _normalize_bounds(bounds, dim: int | None) -> np.ndarray:
 
 def minimize(f: Callable[[np.ndarray], float], bounds, cfg: SwarmConfig) -> OptimizeResult:
     """Run the swarm on an arbitrary loss over a box. Deterministic per cfg.seed.
+    A NaN or infinite loss raises ArithmeticError.
 
     One RNG stream drives everything, drawn in a fixed order: initial
     positions, then per iteration and per particle the social scalars,
@@ -235,7 +244,10 @@ def minimize(f: Callable[[np.ndarray], float], bounds, cfg: SwarmConfig) -> Opti
     def evaluate(theta: np.ndarray) -> float:
         nonlocal n_evals
         n_evals += 1
-        return float(f(theta))
+        loss = float(f(theta))
+        if not math.isfinite(loss):
+            raise ArithmeticError(f"non-finite loss {loss} at {theta.tolist()}")
+        return loss
 
     positions = rng.uniform(lo, hi, size=(s_count, dim))
     velocities = np.zeros((s_count, dim))

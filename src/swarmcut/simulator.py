@@ -132,26 +132,36 @@ def qaoa_expectation(g: Graph, params: QaoaParams) -> float:
     return ExpectationEvaluator(g).expectation(params.gamma, params.beta)
 
 
+def _lattice_axes(gamma_range, beta_range, resolution: int) -> tuple[np.ndarray, np.ndarray]:
+    """The inclusive gamma and beta axes of a resolution x resolution lattice."""
+    if resolution < 2:
+        raise ValueError(f"resolution must be >= 2, got {resolution}")
+    for lo, hi in (gamma_range, beta_range):
+        if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+            raise ValueError(f"range ({lo}, {hi}) must be finite with lo < hi")
+    return (np.linspace(gamma_range[0], gamma_range[1], resolution),
+            np.linspace(beta_range[0], beta_range[1], resolution))
+
+
 def landscape_grid(g: Graph, gamma_range=LANDSCAPE_DEFAULT_RANGE,
                    beta_range=LANDSCAPE_DEFAULT_RANGE,
                    resolution: int = LANDSCAPE_DEFAULT_RESOLUTION) -> np.ndarray:
     """Depth-1 expectation on an inclusive resolution x resolution lattice.
 
-    Entry (a, b) is the expectation at (gamma_a, beta_b).
+    Entry (a, b) is the expectation at (gamma_a, beta_b). At depth 1 the
+    mixer turns each edge's Z_i Z_j into c^2 ZZ + cs (ZY + YZ) + s^2 YY with
+    c = cos 2beta, s = sin 2beta, so for fixed gamma the expectation is
+    exactly A + B cos 4beta + C sin 4beta. Two evaluations per gamma, at
+    beta = +-pi/8, give A +- C; beta = 0 gives A + B = edge_count / 2.
     """
-    if resolution < 2:
-        raise ValueError(f"resolution must be >= 2, got {resolution}")
-    for lo, hi in (gamma_range, beta_range):
-        if not lo < hi:
-            raise ValueError(f"range ({lo}, {hi}) must satisfy lo < hi")
-    gammas = np.linspace(gamma_range[0], gamma_range[1], resolution)
-    betas = np.linspace(beta_range[0], beta_range[1], resolution)
+    gammas, betas = _lattice_axes(gamma_range, beta_range, resolution)
     ev = ExpectationEvaluator(g)
-    grid = np.empty((resolution, resolution), dtype=np.float64)
-    for a, g_val in enumerate(gammas):
-        for b, b_val in enumerate(betas):
-            grid[a, b] = ev.expectation([g_val], [b_val])
-    return grid
+    plus = np.array([ev.expectation([g_val], [math.pi / 8]) for g_val in gammas])
+    minus = np.array([ev.expectation([g_val], [-math.pi / 8]) for g_val in gammas])
+    a = (plus + minus) / 2
+    b = g.edge_count / 2 - a
+    c = (plus - minus) / 2
+    return a[:, None] + b[:, None] * np.cos(4 * betas) + c[:, None] * np.sin(4 * betas)
 
 
 def write_landscape_csv(path, g: Graph, gamma_range=LANDSCAPE_DEFAULT_RANGE,
@@ -159,10 +169,10 @@ def write_landscape_csv(path, g: Graph, gamma_range=LANDSCAPE_DEFAULT_RANGE,
                         resolution: int = LANDSCAPE_DEFAULT_RESOLUTION) -> None:
     """Export the depth-1 landscape, one row per lattice point, gamma-major."""
     grid = landscape_grid(g, gamma_range, beta_range, resolution)
-    gammas = np.linspace(gamma_range[0], gamma_range[1], resolution)
-    betas = np.linspace(beta_range[0], beta_range[1], resolution)
+    gammas, betas = _lattice_axes(gamma_range, beta_range, resolution)
+    beta_texts = [f",{b!r}," for b in betas.tolist()]
     with open(path, "w", encoding="utf-8", newline="") as f:
         f.write("gamma,beta,expectation\n")
-        for a in range(resolution):
-            for b in range(resolution):
-                f.write(f"{float(gammas[a])!r},{float(betas[b])!r},{float(grid[a, b])!r}\n")
+        for g_val, row in zip(gammas.tolist(), grid.tolist()):
+            g_text = repr(g_val)
+            f.write("".join(f"{g_text}{b_text}{e!r}\n" for b_text, e in zip(beta_texts, row)))

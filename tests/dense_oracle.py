@@ -71,6 +71,30 @@ def dense_expectation(n, edges, gammas, betas):
     return float(np.real(np.conj(psi) @ (values * psi)))
 
 
+def closed_form_p1_expectation(n, edges, gamma, beta):
+    """Depth-1 expectation from the per-edge closed form of Wang, Hadfield,
+    Jiang & Rieffel (arXiv:1706.02339), with no statevector: edge (u, v)
+    contributes 1/2 + 1/4 sin 4b sin g (cos^d g + cos^e g)
+    - 1/4 sin^2 2b cos^(d+e-2l) g (1 - cos^l 2g), with d = deg u - 1,
+    e = deg v - 1 and l the common neighbours of u and v. gamma and beta may
+    be arrays of one shape."""
+    nbrs = [set() for _ in range(n)]
+    for u, v in edges:
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+    gamma, beta = np.asarray(gamma, dtype=float), np.asarray(beta, dtype=float)
+    cos_g = np.cos(gamma)
+    total = np.zeros(np.broadcast(gamma, beta).shape)
+    for u, v in edges:
+        d, e = len(nbrs[u]) - 1, len(nbrs[v]) - 1
+        common = len(nbrs[u] & nbrs[v])
+        total = total + (0.5
+                         + 0.25 * np.sin(4 * beta) * np.sin(gamma) * (cos_g ** d + cos_g ** e)
+                         - 0.25 * np.sin(2 * beta) ** 2 * cos_g ** (d + e - 2 * common)
+                         * (1 - np.cos(2 * gamma) ** common))
+    return total
+
+
 def dense_expectation_gradient(n, edges, theta):
     """Analytic gradient of the expectation over theta = (gammas, betas),
     via the product rule on the dense layer unitaries."""

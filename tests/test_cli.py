@@ -86,6 +86,24 @@ class TestOptimize:
         assert main(["optimize", path, "--seed", "9"]) == 0
         assert capsys.readouterr().out == env_out
 
+    @pytest.mark.parametrize("value", ["abc", "-3", "1.5", ""])
+    def test_bad_env_seed_is_usage_error(self, graph_file, capsys, monkeypatch, value):
+        monkeypatch.setenv("QAOA_FIPSO_SEED", value)
+        with pytest.raises(SystemExit) as exc:
+            main(["optimize", graph_file("p2.json", P2)])
+        assert exc.value.code == 2
+        assert "QAOA_FIPSO_SEED" in capsys.readouterr().err
+
+    def test_bad_env_seed_unused_when_flag_given(self, graph_file, monkeypatch):
+        monkeypatch.setenv("QAOA_FIPSO_SEED", "abc")
+        assert main(["optimize", graph_file("p2.json", P2), "--seed", "9"]) == 0
+
+    def test_negative_seed_flag_is_usage_error(self, graph_file, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["optimize", graph_file("p2.json", P2), "--seed=-1"])
+        assert exc.value.code == 2
+        assert "--seed" in capsys.readouterr().err
+
 
 class TestLandscape:
     def test_resolution_two(self, graph_file, tmp_path, capsys):
@@ -117,6 +135,24 @@ class TestLandscape:
             main(["landscape", graph_file("k3.json", K3),
                   "--gamma-range", "oops", "--out", str(tmp_path / "x.csv")])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("resolution", ["1", "0", "-4", "two"])
+    def test_bad_resolution_is_usage_error(self, graph_file, tmp_path, capsys, resolution):
+        out = tmp_path / "x.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["landscape", graph_file("k3.json", K3),
+                  f"--resolution={resolution}", "--out", str(out)])
+        assert exc.value.code == 2
+        assert "--resolution" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_overflowing_range_is_usage_error(self, graph_file, tmp_path, capsys):
+        # A bound past the float range parsed as inf and gave NaN rows, exit 0.
+        with pytest.raises(SystemExit) as exc:
+            main(["landscape", graph_file("k3.json", K3), "--gamma-range=0.." + "9" * 400,
+                  "--out", str(tmp_path / "x.csv")])
+        assert exc.value.code == 2
+        assert "--gamma-range" in capsys.readouterr().err
 
     def test_inverted_range_is_usage_error(self, graph_file, tmp_path):
         with pytest.raises(SystemExit) as exc:
@@ -159,6 +195,12 @@ class TestRunSuite:
         with pytest.raises(SystemExit) as exc:
             main(["run-suite", "--bogus"])
         assert exc.value.code == 2
+
+    def test_negative_seed_is_usage_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["run-suite", *SMALL_SUITE_FLAGS, "--seed=-1", "--out", str(tmp_path / "r.csv")])
+        assert exc.value.code == 2
+        assert "--seed" in capsys.readouterr().err
 
     def test_bad_node_range_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:

@@ -6,6 +6,7 @@ import pytest
 
 from swarmcut import Graph, SwarmConfig, adam_fipso_optimize
 from swarmcut.optimizer import (
+    MODES,
     adam_update,
     approx_ratio,
     finite_diff_grad,
@@ -208,6 +209,28 @@ class TestMinimize:
         result = minimize(sphere, BOX_2D, cfg)
         assert result.evaluations == 4 + 3 * 4 * per_update
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("mode", MODES)
+    def test_non_finite_initial_loss_raises(self, mode, bad):
+        # Before: argmin picked the NaN particle and best_loss and the whole
+        # trace came back NaN without an error.
+        cfg = SwarmConfig(swarm_size=6, max_iters=5, seed=0, mode=mode)
+        with pytest.raises(ArithmeticError):
+            minimize(lambda theta: bad if theta[0] > 0 else sphere(theta), BOX_2D, cfg)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_non_finite_loss_during_updates_raises(self, mode):
+        calls = 0
+
+        def late_nan(theta):
+            nonlocal calls
+            calls += 1
+            return math.nan if calls > 10 else sphere(theta)
+
+        cfg = SwarmConfig(swarm_size=4, max_iters=10, seed=0, mode=mode)
+        with pytest.raises(ArithmeticError):
+            minimize(late_nan, BOX_2D, cfg)
+
     def test_all_modes_respect_bounds(self):
         box = [(-1.0, 2.0), (0.5, 3.0)]
         for mode in ("adam_fd", "adam_swarm", "fipso_plain"):
@@ -328,6 +351,8 @@ class TestSwarmConfig:
         {"adam_beta1": 1.0}, {"adam_beta2": 0.0}, {"epsilon": 0.0},
         {"fd_step": -1.0}, {"mode": "bogus"}, {"lambda_": -0.5},
         {"bounds": [(1.0, 1.0)]},
+        {"swarm_size": 2.5}, {"max_iters": True}, {"max_iters": 3.0},
+        {"seed": -1}, {"seed": 1.5}, {"seed": False}, {"seed": "3"},
     ])
     def test_invalid_configs(self, kwargs):
         with pytest.raises(ValueError):
@@ -338,6 +363,9 @@ class TestSwarmConfig:
         assert cfg.lambda_ == 2.5
         assert cfg.swarm_size == 8
         assert cfg.to_dict()["lambda"] == 2.5
+
+    def test_numpy_integers_accepted(self):
+        SwarmConfig(swarm_size=np.int64(4), max_iters=np.int32(3), seed=np.uint64(7)).validate()
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError, match="unknown"):

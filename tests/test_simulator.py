@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from swarmcut import CapacityError, Graph, generate_er, max_cut_bruteforce, qaoa_expectation
+from swarmcut import CapacityError, Graph, generate_er, generate_ws, max_cut_bruteforce, qaoa_expectation
+from swarmcut import simulator
 from swarmcut.simulator import (
     ExpectationEvaluator,
     QaoaParams,
@@ -18,7 +19,7 @@ from swarmcut.simulator import (
 )
 from swarmcut import _statevec
 
-from dense_oracle import dense_expectation, dense_mixer, qubitwise_mixer
+from dense_oracle import closed_form_p1_expectation, dense_expectation, dense_mixer, qubitwise_mixer
 
 P2 = Graph(2, ((0, 1),))
 K3 = Graph(3, ((0, 1), (0, 2), (1, 2)))
@@ -245,7 +246,25 @@ class TestLandscape:
         for a, g_ang in enumerate((-2.0, 2.0)):
             for b, b_ang in enumerate((-1.0, 1.0)):
                 direct = qaoa_expectation(K3, QaoaParams(gamma=[g_ang], beta=[b_ang]))
-                assert grid[a, b] == direct
+                assert abs(grid[a, b] - direct) <= 1e-12 * max(1, K3.edge_count)
+
+    @pytest.mark.parametrize("gamma_range, beta_range, resolution", [
+        ((-math.pi, math.pi), (-math.pi, math.pi), 9),
+        ((0.3, 2.9), (-2.2, 0.4), 7),
+        ((-0.01, 0.01), (1.0, 1.0 + 1e-6), 4),
+    ], ids=["full", "asymmetric", "narrow"])
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_every_point_matches_evaluator(self, n, gamma_range, beta_range, resolution):
+        graphs = [generate_er(n, 0.5, seed=n), Graph(n, ())]
+        if n >= 3:
+            graphs.append(generate_ws(n, 2, 0.3, seed=n))
+        gammas = np.linspace(*gamma_range, resolution)
+        betas = np.linspace(*beta_range, resolution)
+        for g in graphs:
+            ev = ExpectationEvaluator(g)
+            grid = landscape_grid(g, gamma_range, beta_range, resolution)
+            direct = np.array([[ev.expectation([a], [b]) for b in betas] for a in gammas])
+            assert np.abs(grid - direct).max() <= 1e-12 * max(1, g.edge_count)
 
     def test_entries_bounded(self):
         g = generate_er(5, 0.5, seed=40)
@@ -253,9 +272,12 @@ class TestLandscape:
         assert (grid >= -1e-12).all()
         assert (grid <= max_cut_bruteforce(g).value + 1e-12).all()
 
-    def test_invalid_range(self):
+    @pytest.mark.parametrize("gamma_range, beta_range", [
+        ((1.0, 1.0), (-1.0, 1.0)), ((0.0, math.inf), (-1.0, 1.0)),
+        ((-1.0, 1.0), (math.nan, 1.0))])
+    def test_invalid_range(self, gamma_range, beta_range):
         with pytest.raises(ValueError):
-            landscape_grid(K3, (1.0, 1.0), (-1.0, 1.0), resolution=4)
+            landscape_grid(K3, gamma_range, beta_range, resolution=4)
 
     def test_resolution_too_small(self):
         with pytest.raises(ValueError):
@@ -276,6 +298,58 @@ class TestLandscape:
             assert float(g_txt) == gammas[a]
             assert float(b_txt) == betas[b]
             assert float(e_txt) == grid[a, b]
+
+    def test_csv_text_pinned(self, tmp_path, monkeypatch):
+        # Awkward floats through the writer alone: shortest repr, -0.0,
+        # subnormals, and lattice axes that linspace does not hit exactly.
+        grid = np.array([[0.1, 1 / 3, 2.5e-17], [-0.0, 1.5, 12.000000000000002],
+                         [5e-324, 3.0, 2 / 3]])
+        monkeypatch.setattr(simulator, "landscape_grid", lambda *args: grid)
+        path = tmp_path / "land.csv"
+        write_landscape_csv(path, P2, (-1.0, 0.7), (0.1, 0.2), resolution=3)
+        assert path.read_bytes() == (
+            b"gamma,beta,expectation\n"
+            b"-1.0,0.1,0.1\n"
+            b"-1.0,0.15000000000000002,0.3333333333333333\n"
+            b"-1.0,0.2,2.5e-17\n"
+            b"-0.15000000000000002,0.1,-0.0\n"
+            b"-0.15000000000000002,0.15000000000000002,1.5\n"
+            b"-0.15000000000000002,0.2,12.000000000000002\n"
+            b"0.7,0.1,5e-324\n"
+            b"0.7,0.15000000000000002,3.0\n"
+            b"0.7,0.2,0.6666666666666666\n")
+
+
+class TestClosedFormOracle:
+    """The depth-1 closed form shares no code with the statevector engine, so
+    it checks the engine and the landscape where the dense oracle cannot run."""
+
+    def test_matches_dense_oracle(self):
+        rng = np.random.default_rng(21)
+        for n in range(2, 9):
+            for edge_prob in (0.3, 0.7, 1.0):
+                g = generate_er(n, edge_prob, seed=int(rng.integers(1 << 30)))
+                for g_ang, b_ang in rng.uniform(-np.pi, np.pi, (3, 2)):
+                    closed = closed_form_p1_expectation(g.n, g.edges, g_ang, b_ang)
+                    dense = dense_expectation(g.n, g.edges, [g_ang], [b_ang])
+                    assert abs(closed - dense) < 1e-12 * max(1, g.edge_count)
+
+    @pytest.mark.parametrize("n", [14, 15, 16, 17, 18])
+    def test_evaluator_beyond_dense_sizes(self, n):
+        rng = np.random.default_rng(300 + n)
+        g = generate_er(n, 0.5, seed=n)
+        ev = ExpectationEvaluator(g)
+        for g_ang, b_ang in rng.uniform(-np.pi, np.pi, (3, 2)):
+            closed = closed_form_p1_expectation(g.n, g.edges, g_ang, b_ang)
+            assert abs(ev.expectation([g_ang], [b_ang]) - closed) < 1e-12 * g.edge_count
+
+    @pytest.mark.parametrize("n", [14, 16, 18])
+    def test_landscape_beyond_dense_sizes(self, n):
+        g = generate_ws(n, 4, 0.3, seed=n)
+        gammas, betas = np.linspace(-2.5, 3.0, 5), np.linspace(-1.2, 0.9, 5)
+        closed = closed_form_p1_expectation(g.n, g.edges, gammas[:, None], betas[None, :])
+        grid = landscape_grid(g, (-2.5, 3.0), (-1.2, 0.9), resolution=5)
+        assert np.abs(grid - closed).max() < 1e-12 * g.edge_count
 
 
 class TestMixerKernel:
@@ -352,6 +426,26 @@ MIXER_PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, data
 qubit_counts = st.integers(1, 14)
 seeds = st.integers(0, 2**32 - 1)
 angles = st.floats(-math.pi, math.pi)
+
+
+class TestDepthOneIdentity:
+    """At depth 1 the expectation is A + B cos 4beta + C sin 4beta for each
+    gamma, with A, B, C read off at beta = 0 and +-pi/8: the identity
+    landscape_grid reconstructs its rows from."""
+
+    @MIXER_PROPERTY
+    @given(n=st.integers(1, 10), edge_prob=st.floats(0.05, 1.0), seed=seeds,
+           gamma=angles, beta=angles)
+    def test_three_samples_determine_beta_dependence(self, n, edge_prob, seed, gamma, beta):
+        g = generate_er(n, edge_prob, seed)
+        ev = ExpectationEvaluator(g)
+        zero = ev.expectation([gamma], [0.0])
+        plus = ev.expectation([gamma], [math.pi / 8])
+        minus = ev.expectation([gamma], [-math.pi / 8])
+        a, c = (plus + minus) / 2, (plus - minus) / 2
+        b = zero - a
+        expected = a + b * math.cos(4 * beta) + c * math.sin(4 * beta)
+        assert abs(ev.expectation([gamma], [beta]) - expected) <= 1e-12 * max(1, g.edge_count)
 
 
 class TestMixerProperties:
