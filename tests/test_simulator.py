@@ -272,10 +272,14 @@ class TestLandscape:
         assert (grid >= -1e-12).all()
         assert (grid <= max_cut_bruteforce(g).value + 1e-12).all()
 
+    def test_invalid_range(self):
+        with pytest.raises(ValueError):
+            landscape_grid(K3, (1.0, 1.0), (-1.0, 1.0), resolution=4)
+
     @pytest.mark.parametrize("gamma_range, beta_range", [
-        ((1.0, 1.0), (-1.0, 1.0)), ((0.0, math.inf), (-1.0, 1.0)),
-        ((-1.0, 1.0), (math.nan, 1.0))])
-    def test_invalid_range(self, gamma_range, beta_range):
+        ((0.0, math.inf), (-1.0, 1.0)), ((-1.0, 1.0), (math.nan, 1.0))],
+        ids=["inf", "nan"])
+    def test_non_finite_range(self, gamma_range, beta_range):
         with pytest.raises(ValueError):
             landscape_grid(K3, gamma_range, beta_range, resolution=4)
 
