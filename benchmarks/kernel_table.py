@@ -40,8 +40,6 @@ def _median_us(fn) -> float:
 
 def measure(n: int) -> dict:
     """Time the swarmcut on sys.path at one n."""
-    import inspect
-
     import numpy as np
 
     from swarmcut import _statevec, generate_er
@@ -50,11 +48,10 @@ def measure(n: int) -> dict:
     rng = np.random.default_rng(n)
     amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
     amps /= np.linalg.norm(amps)
-    # Engines without the rotating layout take no scratch argument.
-    extra = (np.empty_like(amps),) if len(inspect.signature(_statevec.apply_mixer).parameters) > 3 else ()
+    scratch = np.empty_like(amps)
     ev = ExpectationEvaluator(generate_er(n, 0.5, 0))
     return {
-        "mixer_us": _median_us(lambda: _statevec.apply_mixer(amps, n, BETA[0], *extra)),
+        "mixer_us": _median_us(lambda: _statevec.apply_mixer(amps, n, BETA[0], scratch)),
         "eval_p3_us": _median_us(lambda: ev.expectation(GAMMA, BETA)),
     }
 

@@ -68,11 +68,12 @@ def _int_at_least(low: int):
 
 
 _parse_seed = _int_at_least(0)
+_parse_count = _int_at_least(1)
 _parse_resolution = _int_at_least(2)
 
 
 def _parse_models(text: str) -> tuple[str, ...]:
-    models = tuple(part.strip().upper() for part in text.split(",") if part.strip())
+    models = tuple(part.strip() for part in text.split(",") if part.strip())
     if not models:
         raise argparse.ArgumentTypeError("expected a comma-separated model list")
     return models
@@ -86,40 +87,40 @@ def _parse_depths(text: str) -> tuple[int, ...]:
 
 
 class UsageError(Exception):
-    """A bad input outside argv, such as an environment variable: exit 2."""
+    """A bad setting argparse does not see (config file, environment, flag values): exit 2."""
 
 
-def _resolve_seed(flag_value, config_seed=None) -> int:
-    if flag_value is not None:
-        return flag_value
-    if config_seed is not None:
-        return config_seed
-    env = os.environ.get(SEED_ENV_VAR)
-    if env is not None:
+def _swarm_config(args) -> SwarmConfig:
+    """--config's swarm settings. The seed is --seed, else the file's "seed",
+    else QAOA_FIPSO_SEED, else DEFAULT_SEED."""
+    doc = {}
+    try:
+        if args.config is not None:
+            with open(args.config, "r", encoding="utf-8") as f:
+                doc = json.load(f)
+        swarm = SwarmConfig.from_dict(doc)
+    except ValueError as exc:  # json.JSONDecodeError too; an OSError stays exit 1
+        raise UsageError(f"{args.config}: {exc}")
+    seed = args.seed
+    if seed is None and "seed" not in doc:
         try:
-            return _parse_seed(env)
+            seed = _parse_seed(os.environ.get(SEED_ENV_VAR, str(DEFAULT_SEED)))
         except argparse.ArgumentTypeError as exc:
             raise UsageError(f"{SEED_ENV_VAR}: {exc}")
-    return DEFAULT_SEED
-
-
-def _load_swarm_config(path) -> tuple[SwarmConfig, bool]:
-    """Returns the config and whether the file pinned a seed explicitly."""
-    if path is None:
-        return SwarmConfig(), False
-    with open(path, "r", encoding="utf-8") as f:
-        doc = json.load(f)
-    return SwarmConfig.from_dict(doc), "seed" in doc
+    return swarm if seed is None else swarm.with_seed(seed)
 
 
 def cmd_run_suite(args) -> int:
-    swarm, has_seed = _load_swarm_config(args.config)
-    seed = _resolve_seed(args.seed, swarm.seed if has_seed else None)
+    swarm = _swarm_config(args)
     lo, hi = args.nodes
-    cfg = SuiteConfig(models=args.models, node_lo=lo, node_hi=hi,
-                      instances_per_size=args.instances, depths=args.depths,
-                      base_seed=seed, swarm=swarm)
-    cfg.validate()
+    try:
+        cfg = SuiteConfig(models=args.models, node_lo=lo, node_hi=hi,
+                          instances_per_size=args.instances, depths=args.depths,
+                          base_seed=swarm.seed, swarm=swarm)
+    except ValueError as exc:  # the message starts with the field's name
+        field = str(exc).split()[0]
+        flag = {"node_lo": "--nodes", "node_hi": "--nodes", "instances_per_size": "--instances"}
+        raise UsageError(f"{flag.get(field, '--' + field)}: {exc}")
     out = Path(args.out)
     sidecar = out.with_suffix(".json")
     with open(out, "w", encoding="utf-8", newline="") as f:
@@ -144,8 +145,7 @@ def cmd_run_suite(args) -> int:
 
 def cmd_optimize(args) -> int:
     g = read_graph(args.graph)
-    swarm, has_seed = _load_swarm_config(args.config)
-    swarm = swarm.with_seed(_resolve_seed(args.seed, swarm.seed if has_seed else None))
+    swarm = _swarm_config(args)
     max_cut = max_cut_bruteforce(g).value
     result = adam_fipso_optimize(g, args.depth, float(max_cut), swarm)
     doc = {
@@ -204,12 +204,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_suite.add_argument("--seed", type=_parse_seed, default=None, help="base seed for the whole suite")
     p_suite.add_argument("--out", default="results.csv", help="results CSV path (default: results.csv)")
     p_suite.add_argument("--config", default=None, help="swarm config JSON path")
-    p_suite.add_argument("--jobs", type=int, default=1, help="parallel instance workers (default: 1)")
+    p_suite.add_argument("--jobs", type=_parse_count, default=1, help="parallel instance workers (default: 1)")
     p_suite.set_defaults(func=cmd_run_suite)
 
     p_opt = sub.add_parser("optimize", help="optimize the angles for one graph file")
     p_opt.add_argument("graph", help="graph JSON path")
-    p_opt.add_argument("--depth", type=int, default=1, help="circuit depth p (default: 1)")
+    p_opt.add_argument("--depth", type=_parse_count, default=1, help="circuit depth p (default: 1)")
     p_opt.add_argument("--config", default=None, help="swarm config JSON path")
     p_opt.add_argument("--seed", type=_parse_seed, default=None, help="swarm seed")
     p_opt.set_defaults(func=cmd_optimize)

@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graphs import Graph, generate_er, generate_ws, max_cut_bruteforce, one_exchange_cut, ws_k_for
-from .optimizer import SwarmConfig, adam_fipso_optimize, approx_ratio, random_params
+from .graphs import MAX_NODES, Graph, generate_er, generate_ws, max_cut_bruteforce, one_exchange_cut, ws_k_for
+from .optimizer import SwarmConfig, adam_fipso_optimize, approx_ratio, check_int, random_params
 from .simulator import ExpectationEvaluator
 
 MODELS = ("ER", "WS")
@@ -71,8 +71,10 @@ class ExperimentRecord:
         return doc
 
 
-@dataclass
+@dataclass(frozen=True)
 class SuiteConfig:
+    """Sweep shape, checked at construction; models are kept upper case, depths sorted."""
+
     models: tuple = MODELS
     node_lo: int = 3
     node_hi: int = 16
@@ -83,37 +85,37 @@ class SuiteConfig:
     base_seed: int = 0
     swarm: SwarmConfig = field(default_factory=SwarmConfig)
 
-    def validate(self) -> None:
-        models = tuple(m.upper() for m in self.models)
-        if not models or any(m not in MODELS for m in models):
-            raise ValueError(f"models must be a non-empty subset of {MODELS}, got {self.models}")
-        self.models = models
-        if self.node_lo < 3:
-            raise ValueError(f"node_lo must be >= 3, got {self.node_lo}")
-        if self.node_hi < self.node_lo:
-            raise ValueError(f"node_hi must be >= node_lo, got {self.node_hi}")
-        if self.node_hi > 24:
-            raise ValueError(f"node_hi must be <= 24, got {self.node_hi}")
+    def __post_init__(self):
+        object.__setattr__(self, "models", tuple(str(m).upper() for m in self.models))
+        object.__setattr__(self, "depths", tuple(sorted(self.depths)))
+        self.validate()
         if self.node_hi > 16:
+            # stacklevel 3: past __post_init__ and __init__ to the constructor call.
             warnings.warn(f"node_hi={self.node_hi} exceeds 16; statevectors grow as 2^n "
-                          "and the sweep may take very long", stacklevel=2)
-        if self.instances_per_size < 1:
-            raise ValueError(f"instances_per_size must be >= 1, got {self.instances_per_size}")
-        depths = tuple(sorted(self.depths))
-        if not depths or any(p not in (1, 2, 3) for p in depths):
+                          "and the sweep may take very long", stacklevel=3)
+
+    def validate(self) -> None:
+        if not self.models or any(m not in MODELS for m in self.models):
+            raise ValueError(f"models must be a non-empty subset of {MODELS}, got {self.models}")
+        check_int("node_lo", self.node_lo, 3)
+        check_int("node_hi", self.node_hi, self.node_lo)
+        if self.node_hi > MAX_NODES:
+            raise ValueError(f"node_hi must be <= {MAX_NODES}, got {self.node_hi}")
+        check_int("instances_per_size", self.instances_per_size, 1)
+        if not self.depths or any(p not in (1, 2, 3) for p in self.depths):
             raise ValueError(f"depths must be a non-empty subset of (1, 2, 3), got {self.depths}")
-        self.depths = depths
         # Zero is excluded because _generate_instance resamples until the
         # graph has an edge, which never happens at probability 0.
         if not 0.0 < self.er_edge_prob <= 1.0:
             raise ValueError(f"er_edge_prob must be in (0, 1], got {self.er_edge_prob}")
         if not 0.0 <= self.ws_rewire_prob <= 1.0:
             raise ValueError(f"ws_rewire_prob must be in [0, 1], got {self.ws_rewire_prob}")
-        self.swarm.validate()
+        check_int("base_seed", self.base_seed, 0)
+        if not isinstance(self.swarm, SwarmConfig):
+            raise ValueError(f"swarm must be a SwarmConfig, got {type(self.swarm).__name__}")
 
     def cells(self) -> list[tuple[str, int, int, int]]:
         """All (model, graph_index, n, p) combinations in canonical order."""
-        self.validate()
         return [(model, g_idx, n, p)
                 for model in sorted(self.models)
                 for g_idx in range(1, self.instances_per_size + 1)
@@ -178,7 +180,8 @@ def run_instance(model: str, graph_index: int, n: int, p: int, cfg: SuiteConfig)
     rand_theta, rand_cut, rand_ar = random_baseline(g, p, baseline_seed, max_cut=max_cut)
 
     swarm_seed = derive_seed(cfg.base_seed, model, graph_index, n, p, "swarm")
-    result = adam_fipso_optimize(g, p, float(max_cut), cfg.swarm.with_seed(swarm_seed))
+    swarm = cfg.swarm.with_seed(swarm_seed)
+    result = adam_fipso_optimize(g, p, float(max_cut), swarm)
     opt_cut = result.best_expectation
     opt_ar = approx_ratio(opt_cut, max_cut)
 
@@ -196,7 +199,7 @@ def run_instance(model: str, graph_index: int, n: int, p: int, cfg: SuiteConfig)
         opt_params=tuple(result.best_position), opt_cut=opt_cut, opt_ar=opt_ar,
         opt_loss=result.best_loss, improvement_pct=improvement_pct,
         graph_seed=graph_seed, baseline_seed=baseline_seed, swarm_seed=swarm_seed,
-        flag=flag, config=cfg.swarm.with_seed(swarm_seed).to_dict(),
+        flag=flag, config=swarm.to_dict(),
     )
 
 
@@ -247,7 +250,7 @@ def run_suite(cfg: SuiteConfig, jobs: int = 1, on_record=None) -> list[Experimen
     else:
         with ProcessPoolExecutor(max_workers=jobs) as executor:
             consume(executor.map(_run_cell, tasks))
-    return sorted(records, key=ExperimentRecord.sort_key)
+    return records
 
 
 def write_records_csv(path, records) -> None:

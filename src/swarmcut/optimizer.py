@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -30,8 +30,17 @@ MODES = ("adam_fd", "adam_swarm", "fipso_plain")
 DEFAULT_BOUND = (-math.pi, math.pi)
 
 
-@dataclass
+def check_int(name: str, value, low: int) -> None:
+    """Raise ValueError unless value is an integer >= low. bool subclasses
+    int, but true/false is not a count or a seed."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < low:
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+
+
+@dataclass(frozen=True)
 class SwarmConfig:
+    """Swarm settings, checked at construction; change one through with_seed or dataclasses.replace."""
+
     swarm_size: int = 20
     max_iters: int = 50
     w_max: float = 0.9
@@ -51,18 +60,13 @@ class SwarmConfig:
     # only a python keyword workaround.
     _JSON_ALIASES = {"lambda": "lambda_"}
 
+    def __post_init__(self):
+        self.validate()
+
     def validate(self) -> None:
-        for name in ("swarm_size", "max_iters", "seed"):
-            value = getattr(self, name)
-            # bool subclasses int, but true/false is not a count or a seed.
-            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if self.swarm_size < 2:
-            raise ValueError(f"swarm_size must be >= 2, got {self.swarm_size}")
-        if self.max_iters < 1:
-            raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
+        check_int("swarm_size", self.swarm_size, 2)
+        check_int("max_iters", self.max_iters, 1)
+        check_int("seed", self.seed, 0)
         if not 0 <= self.w_min <= self.w_max:
             raise ValueError(f"need 0 <= w_min <= w_max, got ({self.w_min}, {self.w_max})")
         if not 0 < self.adam_beta1 < 1 or not 0 < self.adam_beta2 < 1:
@@ -82,16 +86,16 @@ class SwarmConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "SwarmConfig":
-        fields = {f for f in cls.__dataclass_fields__ if not f.startswith("_")}
+        if not isinstance(doc, dict):
+            raise ValueError(f"swarm config must be a JSON object, got {type(doc).__name__}")
+        names = {f.name for f in fields(cls)}
         kwargs = {}
         for key, value in doc.items():
             name = cls._JSON_ALIASES.get(key, key)
-            if name not in fields:
+            if name not in names:
                 raise ValueError(f"unknown swarm config key {key!r}")
             kwargs[name] = value
-        cfg = cls(**kwargs)
-        cfg.validate()
-        return cfg
+        return cls(**kwargs)
 
     @classmethod
     def from_json_file(cls, path) -> "SwarmConfig":
@@ -99,14 +103,9 @@ class SwarmConfig:
             return cls.from_dict(json.load(f))
 
     def to_dict(self) -> dict:
-        doc = {
-            "swarm_size": self.swarm_size, "max_iters": self.max_iters,
-            "w_max": self.w_max, "w_min": self.w_min, "c": self.c,
-            "eta": self.eta, "adam_beta1": self.adam_beta1,
-            "adam_beta2": self.adam_beta2, "epsilon": self.epsilon,
-            "lambda": self.lambda_, "fd_step": self.fd_step, "mode": self.mode,
-            "seed": self.seed,
-        }
+        """The JSON document from_dict reads back; bounds only when set."""
+        keys = {name: key for key, name in self._JSON_ALIASES.items()}
+        doc = {keys.get(f.name, f.name): getattr(self, f.name) for f in fields(self) if f.name != "bounds"}
         if self.bounds is not None:
             doc["bounds"] = [list(b) for b in _normalize_bounds(self.bounds, dim=None)]
         return doc
@@ -230,7 +229,6 @@ def minimize(f: Callable[[np.ndarray], float], bounds, cfg: SwarmConfig) -> Opti
     positions, then per iteration and per particle the social scalars,
     then (adam_swarm only) the influence scalars.
     """
-    cfg.validate()
     bounds = _normalize_bounds(bounds, dim=None)
     dim = bounds.shape[0]
     lo, hi = bounds[:, 0].copy(), bounds[:, 1].copy()

@@ -122,10 +122,6 @@ class ExpectationEvaluator:
             _statevec.apply_mixer(amps, self.n, b_k, self._scratch)
         return _statevec.expectation_value(amps, self._values)
 
-    def expectation_vector(self, theta) -> float:
-        params = QaoaParams.from_vector(theta)
-        return self.expectation(params.gamma, params.beta)
-
 
 def qaoa_expectation(g: Graph, params: QaoaParams) -> float:
     """<psi_p(gamma, beta)| H_C |psi_p(gamma, beta)> for the MaxCut Hamiltonian of g."""

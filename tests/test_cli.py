@@ -22,6 +22,16 @@ def graph_file(tmp_path):
     return write
 
 
+@pytest.fixture
+def quick_argv(graph_file, tmp_path):
+    """A run-suite (writing tmp_path/r.csv) or optimize call that takes seconds."""
+    def argv(command):
+        if command == "run-suite":
+            return [command, *SMALL_SUITE_FLAGS, "--out", str(tmp_path / "r.csv")]
+        return [command, graph_file("p2.json", P2)]
+    return argv
+
+
 class TestMaxcut:
     def test_triangle(self, graph_file, capsys):
         assert main(["maxcut", graph_file("k3.json", K3)]) == 0
@@ -206,6 +216,57 @@ class TestRunSuite:
         with pytest.raises(SystemExit) as exc:
             main(["run-suite", "--nodes", "3-4"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("command, extra, flag", [
+        ("run-suite", ["--instances", "0"], "--instances"),
+        ("run-suite", ["--depths", "4"], "--depths"),
+        ("run-suite", ["--models", "ba"], "--models"),
+        ("run-suite", ["--nodes", "2..3"], "--nodes"),
+        ("run-suite", ["--nodes", "3..25"], "--nodes"),
+        ("run-suite", ["--jobs", "0"], "--jobs"),
+        ("run-suite", ["--jobs=-5"], "--jobs"),
+        ("optimize", ["--depth", "0"], "--depth"),
+    ])
+    def test_bad_setting_is_usage_error(self, quick_argv, tmp_path, capsys, command, extra, flag):
+        # The later of two equal flags wins, so extra overrides the small suite.
+        with pytest.raises(SystemExit) as exc:
+            main([*quick_argv(command), *extra])
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
+        assert not (tmp_path / "r.csv").exists()
+
+
+class TestConfigFile:
+    @pytest.mark.parametrize("text", ['{"swarm_size": 2.5}', "[1, 2]", "{not json"])
+    @pytest.mark.parametrize("command", ["run-suite", "optimize"])
+    def test_bad_config_is_usage_error(self, quick_argv, tmp_path, capsys, text, command):
+        cfg = tmp_path / "swarm.json"
+        cfg.write_text(text)
+        with pytest.raises(SystemExit) as exc:
+            main([*quick_argv(command), "--config", str(cfg)])
+        assert exc.value.code == 2
+        assert str(cfg) in capsys.readouterr().err
+        assert not (tmp_path / "r.csv").exists()
+
+    def test_seed_precedence(self, graph_file, tmp_path, capsys, monkeypatch):
+        # --seed beats the file's seed, which beats QAOA_FIPSO_SEED (unread here).
+        path = graph_file("p2.json", P2)
+        cfg = tmp_path / "swarm.json"
+        monkeypatch.setenv("QAOA_FIPSO_SEED", "abc")
+        outputs = []
+        for doc, flags in [({"seed": 9}, []), ({"seed": 5}, ["--seed", "9"]), ({}, ["--seed", "9"])]:
+            cfg.write_text(json.dumps({"max_iters": 3, **doc}))
+            assert main(["optimize", path, "--config", str(cfg), *flags]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1] == outputs[2]
+        cfg.write_text(json.dumps({"max_iters": 3, "seed": 5}))
+        assert main(["optimize", path, "--config", str(cfg)]) == 0
+        assert capsys.readouterr().out != outputs[0]
+
+    def test_missing_config_exits_one(self, graph_file, tmp_path, capsys):
+        missing = str(tmp_path / "absent_cfg.json")
+        assert main(["optimize", graph_file("p2.json", P2), "--config", missing]) == 1
+        assert "absent_cfg.json" in capsys.readouterr().err
 
 
 class TestReport:

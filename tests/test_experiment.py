@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -176,7 +177,7 @@ class TestSuiteConfig:
         {"node_lo": 2}, {"node_lo": 5, "node_hi": 4}, {"node_hi": 25},
         {"models": ()}, {"models": ("ER", "BA")}, {"depths": (0,)},
         {"depths": (4,)}, {"instances_per_size": 0}, {"er_edge_prob": 1.5},
-        {"er_edge_prob": 0.0},
+        {"er_edge_prob": 0.0}, {"base_seed": -1}, {"base_seed": 1.5}, {"base_seed": True},
     ])
     def test_invalid(self, kwargs):
         with pytest.raises(ValueError):
@@ -185,6 +186,27 @@ class TestSuiteConfig:
     def test_capacity_warning_above_sixteen(self):
         with pytest.warns(UserWarning):
             SuiteConfig(node_hi=18).validate()
+
+    def test_capacity_warning_at_constructor_line(self):
+        with pytest.warns(UserWarning) as record:
+            SuiteConfig(node_hi=18)
+        assert record[0].filename == __file__
+
+    def test_frozen(self):
+        cfg = SuiteConfig()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.node_lo = 2
+        assert cfg.node_lo == 3
+
+    def test_replace_checks_again(self):
+        with pytest.raises(ValueError, match="node_lo"):
+            dataclasses.replace(SuiteConfig(), node_lo=2)
+
+    def test_checked_at_construction(self):
+        # run_instance does not check its config; at er_edge_prob = 0 it
+        # would resample edgeless graphs forever.
+        with pytest.raises(ValueError, match="er_edge_prob"):
+            SuiteConfig(er_edge_prob=0.0)
 
     def test_models_normalized(self):
         cfg = SuiteConfig(models=("ws", "er"))

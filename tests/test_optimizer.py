@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -370,6 +371,27 @@ class TestSwarmConfig:
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError, match="unknown"):
             SwarmConfig.from_dict({"swarmsize": 8})
+
+    def test_non_object_rejected(self):
+        with pytest.raises(ValueError, match="JSON object"):
+            SwarmConfig.from_dict([1, 2])
+
+    def test_to_dict_round_trips_every_field(self):
+        cfg = SwarmConfig(swarm_size=3, max_iters=4, w_max=0.8, w_min=0.3, c=1.5, eta=0.1,
+                          adam_beta1=0.8, adam_beta2=0.99, epsilon=1e-7, lambda_=2.0,
+                          fd_step=1e-4, bounds=[(-1.0, 1.0), (0.0, 2.0)],
+                          mode="adam_swarm", seed=5)
+        doc = cfg.to_dict()
+        assert len(doc) == len(dataclasses.fields(SwarmConfig))
+        assert doc["lambda"] == 2.0
+        assert SwarmConfig.from_dict(doc).to_dict() == doc
+        assert "bounds" not in SwarmConfig().to_dict()
+
+    def test_frozen(self):
+        cfg = SwarmConfig()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.seed = 3
+        assert cfg.seed == 0
 
     def test_json_file_round_trip(self, tmp_path):
         path = tmp_path / "cfg.json"
