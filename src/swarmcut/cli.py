@@ -90,15 +90,17 @@ class UsageError(Exception):
     """A bad setting argparse does not see (config file, environment, flag values): exit 2."""
 
 
-def _swarm_config(args) -> SwarmConfig:
-    """--config's swarm settings. The seed is --seed, else the file's "seed",
-    else QAOA_FIPSO_SEED, else DEFAULT_SEED."""
+def _swarm_config(args, depths=()) -> SwarmConfig:
+    """--config's swarm settings, its bounds checked at each of depths. The seed
+    is --seed, else the file's "seed", else QAOA_FIPSO_SEED, else DEFAULT_SEED."""
     doc = {}
     try:
         if args.config is not None:
             with open(args.config, "r", encoding="utf-8") as f:
                 doc = json.load(f)
         swarm = SwarmConfig.from_dict(doc)
+        for p in depths:
+            swarm.box(p)
     except ValueError as exc:  # json.JSONDecodeError too; an OSError stays exit 1
         raise UsageError(f"{args.config}: {exc}")
     seed = args.seed
@@ -119,7 +121,8 @@ def cmd_run_suite(args) -> int:
                           base_seed=swarm.seed, swarm=swarm)
     except ValueError as exc:  # the message starts with the field's name
         field = str(exc).split()[0]
-        flag = {"node_lo": "--nodes", "node_hi": "--nodes", "instances_per_size": "--instances"}
+        flag = {"node_lo": "--nodes", "node_hi": "--nodes", "instances_per_size": "--instances",
+                "bounds": args.config}
         raise UsageError(f"{flag.get(field, '--' + field)}: {exc}")
     out = Path(args.out)
     sidecar = out.with_suffix(".json")
@@ -145,7 +148,7 @@ def cmd_run_suite(args) -> int:
 
 def cmd_optimize(args) -> int:
     g = read_graph(args.graph)
-    swarm = _swarm_config(args)
+    swarm = _swarm_config(args, (args.depth,))
     max_cut = max_cut_bruteforce(g).value
     result = adam_fipso_optimize(g, args.depth, float(max_cut), swarm)
     doc = {

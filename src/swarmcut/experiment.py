@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graphs import MAX_NODES, Graph, generate_er, generate_ws, max_cut_bruteforce, one_exchange_cut, ws_k_for
-from .optimizer import SwarmConfig, adam_fipso_optimize, approx_ratio, check_int, random_params
+from .optimizer import SwarmConfig, adam_fipso_optimize, approx_ratio, check_int, check_real, random_params
 from .simulator import ExpectationEvaluator
 
 MODELS = ("ER", "WS")
@@ -87,23 +87,31 @@ class SuiteConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "models", tuple(str(m).upper() for m in self.models))
-        object.__setattr__(self, "depths", tuple(sorted(self.depths)))
         self.validate()
+        object.__setattr__(self, "depths", tuple(sorted(self.depths)))
         if self.node_hi > 16:
             # stacklevel 3: past __post_init__ and __init__ to the constructor call.
             warnings.warn(f"node_hi={self.node_hi} exceeds 16; statevectors grow as 2^n "
                           "and the sweep may take very long", stacklevel=3)
 
     def validate(self) -> None:
-        if not self.models or any(m not in MODELS for m in self.models):
-            raise ValueError(f"models must be a non-empty subset of {MODELS}, got {self.models}")
+        # A repeated or unknown entry makes the intersection shorter than the tuple.
+        if not self.models or len(set(self.models) & set(MODELS)) < len(self.models):
+            raise ValueError(f"models must be distinct entries of {MODELS}, got {self.models}")
         check_int("node_lo", self.node_lo, 3)
         check_int("node_hi", self.node_hi, self.node_lo)
         if self.node_hi > MAX_NODES:
             raise ValueError(f"node_hi must be <= {MAX_NODES}, got {self.node_hi}")
         check_int("instances_per_size", self.instances_per_size, 1)
-        if not self.depths or any(p not in (1, 2, 3) for p in self.depths):
-            raise ValueError(f"depths must be a non-empty subset of (1, 2, 3), got {self.depths}")
+        if not isinstance(self.swarm, SwarmConfig):
+            raise ValueError(f"swarm must be a SwarmConfig, got {type(self.swarm).__name__}")
+        if not self.depths or len(set(self.depths) & {1, 2, 3}) < len(self.depths):
+            raise ValueError(f"depths must be distinct entries of (1, 2, 3), got {self.depths}")
+        for p in self.depths:
+            check_int("depths", p, 1)  # 1.0 and True pass the set test
+            self.swarm.box(p)
+        check_real("er_edge_prob", self.er_edge_prob)
+        check_real("ws_rewire_prob", self.ws_rewire_prob)
         # Zero is excluded because _generate_instance resamples until the
         # graph has an edge, which never happens at probability 0.
         if not 0.0 < self.er_edge_prob <= 1.0:
@@ -111,8 +119,6 @@ class SuiteConfig:
         if not 0.0 <= self.ws_rewire_prob <= 1.0:
             raise ValueError(f"ws_rewire_prob must be in [0, 1], got {self.ws_rewire_prob}")
         check_int("base_seed", self.base_seed, 0)
-        if not isinstance(self.swarm, SwarmConfig):
-            raise ValueError(f"swarm must be a SwarmConfig, got {type(self.swarm).__name__}")
 
     def cells(self) -> list[tuple[str, int, int, int]]:
         """All (model, graph_index, n, p) combinations in canonical order."""
@@ -152,6 +158,8 @@ def random_baseline(g: Graph, p: int, seed: int, params=None, max_cut: int | Non
         rng = np.random.default_rng(seed)
         params = random_params(p, rng)
     params = np.asarray(params, dtype=np.float64)
+    if params.shape != (2 * p,):
+        raise ValueError(f"params must have shape ({2 * p},) at depth {p}, got {params.shape}")
     if max_cut is None:
         max_cut = max_cut_bruteforce(g).value
     ev = ExpectationEvaluator(g)
@@ -222,21 +230,10 @@ def _run_cell(args):
         return _error_record(model, graph_index, n, p, exc)
 
 
-def _check_seed_collisions(cfg: SuiteConfig, cells) -> None:
-    seeds = []
-    for model, g_idx, n, p in cells:
-        for role in ("baseline", "swarm"):
-            seeds.append(derive_seed(cfg.base_seed, model, g_idx, n, p, role))
-    if len(set(seeds)) != len(seeds):
-        raise RuntimeError("derived seed collision across suite cells")
-
-
 def run_suite(cfg: SuiteConfig, jobs: int = 1, on_record=None) -> list[ExperimentRecord]:
     """Run every cell of the sweep. Records come back in canonical order
     (model, graph_index, n, p) regardless of the worker count."""
-    cells = cfg.cells()
-    _check_seed_collisions(cfg, cells)
-    tasks = [(model, g_idx, n, p, cfg) for model, g_idx, n, p in cells]
+    tasks = [(model, g_idx, n, p, cfg) for model, g_idx, n, p in cfg.cells()]
     records = []
 
     def consume(results):

@@ -18,7 +18,7 @@ import json
 import math
 import numbers
 from dataclasses import dataclass, field, fields, replace
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -37,6 +37,28 @@ def check_int(name: str, value, low: int) -> None:
         raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
+def check_real(name: str, value) -> None:
+    """Raise ValueError unless value is a finite real number, bool excluded."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool) or not math.isfinite(value):
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+
+
+def _bound_pairs(bounds) -> tuple[tuple[float, float], ...]:
+    """A bare (lo, hi) pair or a sequence of them, as a tuple of finite float pairs."""
+    try:
+        pairs = [tuple(bounds)] if all(isinstance(x, numbers.Real) for x in bounds) else [tuple(b) for b in bounds]
+    except TypeError:
+        pairs = []
+    if not pairs or any(len(pair) != 2 for pair in pairs):
+        raise ValueError(f"bounds must be a (lo, hi) pair or a list of pairs, got {bounds!r}")
+    for lo, hi in pairs:
+        check_real("bounds", lo)
+        check_real("bounds", hi)
+        if not lo < hi:
+            raise ValueError(f"bounds ({lo}, {hi}) must satisfy lo < hi")
+    return tuple((float(lo), float(hi)) for lo, hi in pairs)
+
+
 @dataclass(frozen=True)
 class SwarmConfig:
     """Swarm settings, checked at construction; change one through with_seed or dataclasses.replace."""
@@ -52,7 +74,7 @@ class SwarmConfig:
     epsilon: float = 1e-8
     lambda_: float = 1.0
     fd_step: float = 1e-3
-    bounds: Sequence | None = None
+    bounds: tuple[tuple[float, float], ...] | None = None
     mode: str = "adam_fd"
     seed: int = 0
 
@@ -61,12 +83,16 @@ class SwarmConfig:
     _JSON_ALIASES = {"lambda": "lambda_"}
 
     def __post_init__(self):
+        if self.bounds is not None:
+            object.__setattr__(self, "bounds", _bound_pairs(self.bounds))
         self.validate()
 
     def validate(self) -> None:
         check_int("swarm_size", self.swarm_size, 2)
         check_int("max_iters", self.max_iters, 1)
         check_int("seed", self.seed, 0)
+        for name in ("w_max", "w_min", "c", "eta", "adam_beta1", "adam_beta2", "epsilon", "lambda_", "fd_step"):
+            check_real(name, getattr(self, name))
         if not 0 <= self.w_min <= self.w_max:
             raise ValueError(f"need 0 <= w_min <= w_max, got ({self.w_min}, {self.w_max})")
         if not 0 < self.adam_beta1 < 1 or not 0 < self.adam_beta2 < 1:
@@ -79,10 +105,16 @@ class SwarmConfig:
             raise ValueError(f"lambda must be non-negative, got {self.lambda_}")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.bounds is not None:
-            for lo, hi in _normalize_bounds(self.bounds, dim=None):
-                if not lo < hi:
-                    raise ValueError(f"bound ({lo}, {hi}) must satisfy lo < hi")
+
+    def box(self, p: int) -> np.ndarray:
+        """The (2p, 2) box over (gamma_1..p, beta_1..p): (-pi, pi) when bounds is
+        unset, a single pair for every angle, else exactly 2p pairs (or ValueError)."""
+        pairs = self.bounds or (DEFAULT_BOUND,)
+        if len(pairs) == 1:
+            pairs = pairs * (2 * p)
+        elif len(pairs) != 2 * p:
+            raise ValueError(f"bounds must hold 1 or {2 * p} pairs at depth {p}, got {len(pairs)}")
+        return np.array(pairs)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "SwarmConfig":
@@ -105,10 +137,8 @@ class SwarmConfig:
     def to_dict(self) -> dict:
         """The JSON document from_dict reads back; bounds only when set."""
         keys = {name: key for key, name in self._JSON_ALIASES.items()}
-        doc = {keys.get(f.name, f.name): getattr(self, f.name) for f in fields(self) if f.name != "bounds"}
-        if self.bounds is not None:
-            doc["bounds"] = [list(b) for b in _normalize_bounds(self.bounds, dim=None)]
-        return doc
+        return {keys.get(f.name, f.name): getattr(self, f.name)
+                for f in fields(self) if getattr(self, f.name) is not None}
 
     def with_seed(self, seed: int) -> "SwarmConfig":
         return replace(self, seed=seed)
@@ -208,32 +238,19 @@ def random_params(p: int, rng) -> np.ndarray:
     return rng.uniform(-math.pi, math.pi, size=2 * p)
 
 
-def _normalize_bounds(bounds, dim: int | None) -> np.ndarray:
-    arr = np.asarray(bounds, dtype=np.float64)
-    if arr.ndim == 1 and arr.shape == (2,):
-        if dim is None:
-            return arr.reshape(1, 2)
-        arr = np.tile(arr, (dim, 1))
-    if arr.ndim != 2 or arr.shape[1] != 2:
-        raise ValueError(f"bounds must be a (lo, hi) pair or a list of pairs, got shape {arr.shape}")
-    if dim is not None and arr.shape[0] != dim:
-        raise ValueError(f"expected {dim} bound pairs, got {arr.shape[0]}")
-    return arr
-
-
 def minimize(f: Callable[[np.ndarray], float], bounds, cfg: SwarmConfig) -> OptimizeResult:
     """Run the swarm on an arbitrary loss over a box. Deterministic per cfg.seed.
     A NaN or infinite loss raises ArithmeticError.
+
+    bounds holds one finite (lo, hi) pair with lo < hi per dimension, or is a
+    bare pair for one dimension; SwarmConfig.box(p) builds it for 2p angles.
 
     One RNG stream drives everything, drawn in a fixed order: initial
     positions, then per iteration and per particle the social scalars,
     then (adam_swarm only) the influence scalars.
     """
-    bounds = _normalize_bounds(bounds, dim=None)
-    dim = bounds.shape[0]
-    lo, hi = bounds[:, 0].copy(), bounds[:, 1].copy()
-    if not (lo < hi).all():
-        raise ValueError("every bound must satisfy lo < hi")
+    lo, hi = np.array(_bound_pairs(bounds)).T
+    dim = lo.size
     s_count, t_max = cfg.swarm_size, cfg.max_iters
     rng = np.random.default_rng(cfg.seed)
 
@@ -299,8 +316,7 @@ def adam_fipso_optimize(g: Graph, p: int, c_target: float, cfg: SwarmConfig) -> 
     """Optimize the 2p QAOA angles of g against a classical target cut."""
     if p < 1:
         raise ValueError(f"depth must be >= 1, got {p}")
-    bounds = _normalize_bounds(cfg.bounds if cfg.bounds is not None else DEFAULT_BOUND, dim=2 * p)
     ev = ExpectationEvaluator(g)
-    result = minimize(_loss_from_evaluator(ev, p, c_target, cfg.lambda_), bounds, cfg)
+    result = minimize(_loss_from_evaluator(ev, p, c_target, cfg.lambda_), cfg.box(p), cfg)
     result.best_expectation = ev.expectation(result.best_position[:p], result.best_position[p:])
     return result

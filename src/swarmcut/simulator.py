@@ -53,21 +53,16 @@ class QaoaParams:
         return np.concatenate([self.gamma, self.beta])
 
 
-def _check_capacity(n: int) -> None:
-    if n > MAX_NODES:
-        raise CapacityError(f"n={n} exceeds the {MAX_NODES}-qubit statevector cap")
-
-
 def build_cut_spectrum(g: Graph) -> np.ndarray:
     """Diagonal of the cost Hamiltonian: entry z is the cut size of mask z.
     The graph's read-only cached spectrum, shared by every caller."""
-    _check_capacity(g.n)
     return g.cut_spectrum
 
 
 def init_plus_state(n: int) -> np.ndarray:
     """Uniform superposition over all 2^n basis states."""
-    _check_capacity(n)
+    if n > MAX_NODES:
+        raise CapacityError(f"n={n} exceeds the {MAX_NODES}-qubit statevector cap")
     size = 1 << n
     return np.full(size, 1.0 / math.sqrt(size), dtype=np.complex128)
 
@@ -104,7 +99,6 @@ class ExpectationEvaluator:
     """
 
     def __init__(self, g: Graph):
-        _check_capacity(g.n)
         self.graph = g
         self.n = g.n
         self.spectrum = g.cut_spectrum
@@ -117,7 +111,7 @@ class ExpectationEvaluator:
     def expectation(self, gamma, beta) -> float:
         amps = self._amps
         amps.fill(self._init_amp)
-        for g_k, b_k in zip(gamma, beta):
+        for g_k, b_k in zip(gamma, beta, strict=True):
             _statevec.apply_phase_table(amps, self.spectrum, _phase_table(self._max_value, g_k))
             _statevec.apply_mixer(amps, self.n, b_k, self._scratch)
         return _statevec.expectation_value(amps, self._values)

@@ -226,6 +226,8 @@ class TestRunSuite:
         ("run-suite", ["--jobs", "0"], "--jobs"),
         ("run-suite", ["--jobs=-5"], "--jobs"),
         ("optimize", ["--depth", "0"], "--depth"),
+        ("run-suite", ["--depths", "1,1"], "--depths"),
+        ("run-suite", ["--models", "er,ER"], "--models"),
     ])
     def test_bad_setting_is_usage_error(self, quick_argv, tmp_path, capsys, command, extra, flag):
         # The later of two equal flags wins, so extra overrides the small suite.
@@ -237,7 +239,8 @@ class TestRunSuite:
 
 
 class TestConfigFile:
-    @pytest.mark.parametrize("text", ['{"swarm_size": 2.5}', "[1, 2]", "{not json"])
+    @pytest.mark.parametrize("text", ['{"swarm_size": 2.5}', "[1, 2]", "{not json",
+                                      '{"eta": "0.05"}', '{"bounds": [0, Infinity]}'])
     @pytest.mark.parametrize("command", ["run-suite", "optimize"])
     def test_bad_config_is_usage_error(self, quick_argv, tmp_path, capsys, text, command):
         cfg = tmp_path / "swarm.json"
@@ -247,6 +250,32 @@ class TestConfigFile:
         assert exc.value.code == 2
         assert str(cfg) in capsys.readouterr().err
         assert not (tmp_path / "r.csv").exists()
+
+    @pytest.mark.parametrize("command, extra", [("optimize", ["--depth", "1"]),
+                                                ("run-suite", ["--depths", "1,2"])])
+    def test_bound_count_against_depth_is_usage_error(self, quick_argv, tmp_path, capsys,
+                                                      command, extra):
+        # Unchecked, the file would load and every cell fail later: optimize
+        # would exit 1, run-suite 0 with every record flagged.
+        cfg = tmp_path / "swarm.json"
+        cfg.write_text(json.dumps({"bounds": [[0, 1]] * 3}))
+        with pytest.raises(SystemExit) as exc:
+            main([*quick_argv(command), *extra, "--config", str(cfg)])
+        assert exc.value.code == 2
+        assert str(cfg) in capsys.readouterr().err
+        assert not (tmp_path / "r.csv").exists()
+
+    def test_sidecar_config_echo_reads_back(self, quick_argv, graph_file, tmp_path, capsys):
+        # The echo writes a bare pair as one listed pair, which must mean the
+        # same box at every depth.
+        cfg = tmp_path / "swarm.json"
+        cfg.write_text(json.dumps({"bounds": [-2, 2], "swarm_size": 4, "max_iters": 3}))
+        assert main([*quick_argv("run-suite"), "--config", str(cfg)]) == 0
+        echo = json.loads((tmp_path / "r.json").read_text())[0]["config"]
+        cfg.write_text(json.dumps(echo))
+        assert main(["optimize", graph_file("p2.json", P2), "--config", str(cfg)]) == 0
+        doc = json.loads(capsys.readouterr().out.splitlines()[-1])
+        assert all(-2 <= x <= 2 for x in doc["opt_params"])
 
     def test_seed_precedence(self, graph_file, tmp_path, capsys, monkeypatch):
         # --seed beats the file's seed, which beats QAOA_FIPSO_SEED (unread here).

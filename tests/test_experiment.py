@@ -66,6 +66,13 @@ class TestRandomBaseline:
         with pytest.raises(ValueError):
             random_baseline(Graph(3, ()), p=1, seed=0)
 
+    @pytest.mark.parametrize("params", [[0.3, 0.2, 0.5, 0.7], [0.3], np.zeros((1, 2))])
+    def test_params_shape_must_match_depth(self, params):
+        # Unchecked, four entries at p = 1 would come back as rand_params beside
+        # the cut of a circuit that zip truncated to one layer.
+        with pytest.raises(ValueError, match="shape"):
+            random_baseline(K3, p=1, seed=0, params=params)
+
 
 class TestImprovement:
     def test_fifty_percent(self):
@@ -178,6 +185,8 @@ class TestSuiteConfig:
         {"models": ()}, {"models": ("ER", "BA")}, {"depths": (0,)},
         {"depths": (4,)}, {"instances_per_size": 0}, {"er_edge_prob": 1.5},
         {"er_edge_prob": 0.0}, {"base_seed": -1}, {"base_seed": 1.5}, {"base_seed": True},
+        {"depths": (1, 1)}, {"depths": (True,)}, {"depths": (1.0,)}, {"models": ("ER", "er")},
+        {"er_edge_prob": "0.5"}, {"swarm": SwarmConfig(bounds=[(0.0, 1.0)] * 4)},
     ])
     def test_invalid(self, kwargs):
         with pytest.raises(ValueError):
@@ -207,6 +216,12 @@ class TestSuiteConfig:
         # would resample edgeless graphs forever.
         with pytest.raises(ValueError, match="er_edge_prob"):
             SuiteConfig(er_edge_prob=0.0)
+
+    def test_bounds_checked_at_every_depth(self):
+        swarm = SwarmConfig(bounds=[(0.0, 1.0)] * 4)
+        assert SuiteConfig(depths=(2,), swarm=swarm).swarm.box(2).shape == (4, 2)
+        with pytest.raises(ValueError, match="depth 3"):
+            SuiteConfig(depths=(2, 3), swarm=swarm)
 
     def test_models_normalized(self):
         cfg = SuiteConfig(models=("ws", "er"))

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from swarmcut import (
     CapacityError,
@@ -216,7 +218,22 @@ class TestOneExchange:
         assert cut_size(C5, result.mask) == result.value
 
 
+@st.composite
+def _graphs(draw):
+    n = draw(st.integers(1, 12))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    # Either endpoint order is a valid input; Graph stores the pair low-high.
+    return Graph(n, tuple((j, i) if draw(st.booleans()) else (i, j) for i, j in chosen))
+
+
 class TestGraphIo:
+    @given(g=_graphs())
+    def test_round_trip_generated(self, tmp_path_factory, g):
+        path = tmp_path_factory.mktemp("graphs") / "g.json"
+        write_graph(path, g)
+        assert read_graph(path) == g
+
     def test_round_trip(self, tmp_path):
         path = tmp_path / "k3.json"
         write_graph(path, K3)

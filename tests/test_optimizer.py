@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from swarmcut import Graph, SwarmConfig, adam_fipso_optimize
 from swarmcut.optimizer import (
@@ -354,6 +356,8 @@ class TestSwarmConfig:
         {"bounds": [(1.0, 1.0)]},
         {"swarm_size": 2.5}, {"max_iters": True}, {"max_iters": 3.0},
         {"seed": -1}, {"seed": 1.5}, {"seed": False}, {"seed": "3"},
+        {"eta": "0.05"}, {"c": True}, {"fd_step": math.inf}, {"bounds": [0, math.inf]},
+        {"bounds": ["0", "1"]}, {"bounds": []},
     ])
     def test_invalid_configs(self, kwargs):
         with pytest.raises(ValueError):
@@ -406,3 +410,63 @@ class TestSwarmConfig:
         other = base.with_seed(99)
         assert other.seed == 99
         assert base.seed == 1
+
+    def test_bounds_copied_and_hashable(self):
+        bounds = [-2, 2]
+        cfg = SwarmConfig(bounds=bounds)
+        bounds[0] = 5
+        assert cfg.bounds == ((-2.0, 2.0),)
+        assert hash(cfg) == hash(SwarmConfig(bounds=(-2.0, 2.0)))
+
+
+class TestBox:
+    def test_default_is_pi_box(self):
+        np.testing.assert_array_equal(SwarmConfig().box(2), [(-math.pi, math.pi)] * 4)
+
+    @pytest.mark.parametrize("bounds", [(-1, 2), [[-1, 2]]])
+    def test_one_pair_applies_to_every_angle(self, bounds):
+        np.testing.assert_array_equal(SwarmConfig(bounds=bounds).box(3), [(-1.0, 2.0)] * 6)
+
+    def test_one_pair_per_angle(self):
+        pairs = [(-1.0, 1.0), (0.0, 2.0), (0.5, 0.7), (-3.0, -2.0)]
+        np.testing.assert_array_equal(SwarmConfig(bounds=pairs).box(2), pairs)
+
+    @pytest.mark.parametrize("p", [1, 3])
+    def test_pair_count_must_match_depth(self, p):
+        with pytest.raises(ValueError, match="bounds"):
+            SwarmConfig(bounds=[(0.0, 1.0)] * 4).box(p)
+
+    def test_optimizer_rejects_mismatched_box(self):
+        with pytest.raises(ValueError, match="bounds"):
+            adam_fipso_optimize(P2, 1, 1.0, SwarmConfig(bounds=[(0.0, 1.0)] * 3))
+
+
+_finite = st.floats(-10.0, 10.0)
+_pair = st.tuples(_finite, _finite).filter(lambda b: b[0] < b[1])
+
+
+@st.composite
+def _bounds(draw):
+    kind = draw(st.sampled_from(["none", "bare", "one", "per_angle"]))
+    if kind == "none":
+        return None
+    if kind == "bare":
+        return list(draw(_pair))
+    count = 1 if kind == "one" else 2 * draw(st.integers(1, 3))
+    return [list(draw(_pair)) for _ in range(count)]
+
+
+@given(
+    swarm_size=st.integers(2, 100), max_iters=st.integers(1, 100),
+    w=st.tuples(st.floats(0.0, 2.0), st.floats(0.0, 2.0)).map(sorted),
+    c=_finite, eta=st.floats(1e-6, 1.0),
+    betas=st.tuples(st.floats(0.01, 0.99), st.floats(0.01, 0.99)),
+    epsilon=st.floats(1e-12, 1e-3), lambda_=st.floats(0.0, 10.0), fd_step=st.floats(1e-8, 1e-1),
+    bounds=_bounds(), mode=st.sampled_from(MODES), seed=st.integers(0, 2 ** 64 - 1),
+)
+def test_config_json_round_trip(swarm_size, max_iters, w, c, eta, betas, epsilon, lambda_,
+                                fd_step, bounds, mode, seed):
+    cfg = SwarmConfig(swarm_size=swarm_size, max_iters=max_iters, w_min=w[0], w_max=w[1], c=c,
+                      eta=eta, adam_beta1=betas[0], adam_beta2=betas[1], epsilon=epsilon,
+                      lambda_=lambda_, fd_step=fd_step, bounds=bounds, mode=mode, seed=seed)
+    assert SwarmConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg

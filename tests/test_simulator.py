@@ -227,6 +227,13 @@ class TestExpectation:
             apply_mixer_layer(state, float(rng.uniform(-np.pi, np.pi)))
             assert abs(np.vdot(state, state).real - 1.0) < 1e-10
 
+    @pytest.mark.parametrize("gamma, beta", [([0.3, 0.9], [0.2]), ([0.3], [0.2, 0.5])])
+    def test_mismatched_angle_lengths_rejected(self, gamma, beta):
+        # Unchecked, zip would stop at the shorter vector and return the p = 1 value.
+        ev = ExpectationEvaluator(generate_er(4, 0.6, seed=1))
+        with pytest.raises(ValueError):
+            ev.expectation(gamma, beta)
+
     def test_evaluator_reuse_matches_one_shot(self):
         rng = np.random.default_rng(16)
         g = generate_er(5, 0.5, seed=33)
