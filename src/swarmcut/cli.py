@@ -7,7 +7,6 @@ Exit codes: 0 success, 1 runtime failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import os
@@ -16,12 +15,12 @@ import sys
 from pathlib import Path
 
 from .experiment import (
-    CSV_COLUMNS,
     SuiteConfig,
     aggregate_report,
+    iter_suite,
     read_records_csv,
     render_report_text,
-    run_suite,
+    write_records_csv,
     write_records_json,
     write_report_csv,
 )
@@ -126,21 +125,14 @@ def cmd_run_suite(args) -> int:
         raise UsageError(f"{flag.get(field, '--' + field)}: {exc}")
     out = Path(args.out)
     sidecar = out.with_suffix(".json")
-    with open(out, "w", encoding="utf-8", newline="") as f:
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(CSV_COLUMNS)
 
-        def on_record(r):
-            writer.writerow(r.to_csv_row())
-            f.flush()
-            line = (f"{r.model} g{r.graph_index} n={r.n} p={r.p}: "
-                    f"maxcut={r.max_cut} rand_ar={r.rand_ar:.3f} "
-                    f"opt_ar={r.opt_ar:.3f} improvement={r.improvement_pct:.1f}%")
-            if r.flag:
-                line += f" [{r.flag}]"
-            print(line)
+    def progress(r):
+        flag = f" [{r.flag}]" if r.flag else ""
+        print(f"{r.model} g{r.graph_index} n={r.n} p={r.p}: maxcut={r.max_cut} rand_ar={r.rand_ar:.3f} "
+              f"opt_ar={r.opt_ar:.3f} improvement={r.improvement_pct:.1f}%{flag}")
+        return r
 
-        records = run_suite(cfg, jobs=args.jobs, on_record=on_record)
+    records = write_records_csv(out, map(progress, iter_suite(cfg, jobs=args.jobs)))
     write_records_json(sidecar, records)
     print(f"wrote {len(records)} records to {out} (+ {sidecar})")
     return 0

@@ -86,6 +86,11 @@ class SuiteConfig:
     swarm: SwarmConfig = field(default_factory=SwarmConfig)
 
     def __post_init__(self):
+        for name in ("models", "depths"):
+            try:
+                object.__setattr__(self, name, tuple(getattr(self, name)))
+            except TypeError:
+                raise ValueError(f"{name} must be a sequence, got {getattr(self, name)!r}") from None
         object.__setattr__(self, "models", tuple(str(m).upper() for m in self.models))
         self.validate()
         object.__setattr__(self, "depths", tuple(sorted(self.depths)))
@@ -105,10 +110,11 @@ class SuiteConfig:
         check_int("instances_per_size", self.instances_per_size, 1)
         if not isinstance(self.swarm, SwarmConfig):
             raise ValueError(f"swarm must be a SwarmConfig, got {type(self.swarm).__name__}")
+        for p in self.depths:
+            check_int("depths", p, 1)  # before the set test: 1.0 and True pass it, a list cannot enter it
         if not self.depths or len(set(self.depths) & {1, 2, 3}) < len(self.depths):
             raise ValueError(f"depths must be distinct entries of (1, 2, 3), got {self.depths}")
         for p in self.depths:
-            check_int("depths", p, 1)  # 1.0 and True pass the set test
             self.swarm.box(p)
         check_real("er_edge_prob", self.er_edge_prob)
         check_real("ws_rewire_prob", self.ws_rewire_prob)
@@ -230,32 +236,34 @@ def _run_cell(args):
         return _error_record(model, graph_index, n, p, exc)
 
 
-def run_suite(cfg: SuiteConfig, jobs: int = 1, on_record=None) -> list[ExperimentRecord]:
-    """Run every cell of the sweep. Records come back in canonical order
-    (model, graph_index, n, p) regardless of the worker count."""
+def iter_suite(cfg: SuiteConfig, jobs: int = 1):
+    """Yield the record of every cell of the sweep as soon as it is done, in
+    canonical order (model, graph_index, n, p) regardless of the worker count."""
     tasks = [(model, g_idx, n, p, cfg) for model, g_idx, n, p in cfg.cells()]
-    records = []
-
-    def consume(results):
-        for record in results:
-            records.append(record)
-            if on_record is not None:
-                on_record(record)
-
     if jobs <= 1:
-        consume(map(_run_cell, tasks))
+        yield from map(_run_cell, tasks)
     else:
         with ProcessPoolExecutor(max_workers=jobs) as executor:
-            consume(executor.map(_run_cell, tasks))
-    return records
+            yield from executor.map(_run_cell, tasks)
 
 
-def write_records_csv(path, records) -> None:
+def run_suite(cfg: SuiteConfig, jobs: int = 1) -> list[ExperimentRecord]:
+    """Every record of the sweep, as a list in canonical order."""
+    return list(iter_suite(cfg, jobs))
+
+
+def write_records_csv(path, records) -> list[ExperimentRecord]:
+    """Open the results CSV, then write and flush one row per record as the
+    iterable yields it, so an interrupted sweep keeps its finished rows. Returns the records."""
+    written = []
     with open(path, "w", encoding="utf-8", newline="") as f:
         writer = csv.writer(f, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)
         for record in records:
             writer.writerow(record.to_csv_row())
+            f.flush()
+            written.append(record)
+    return written
 
 
 def write_records_json(path, records) -> None:

@@ -8,6 +8,7 @@ simulator, so a basis-state index doubles as a partition mask.
 from __future__ import annotations
 
 import json
+from collections.abc import Sized
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -28,6 +29,11 @@ class GraphValidationError(ValueError):
     """Graph is well-formed but internally inconsistent (node count, vertex range)."""
 
 
+def _is_int(value) -> bool:
+    # bool subclasses int, but true/false is not a vertex or a count.
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class Graph:
     """Simple undirected graph on vertices 0..n-1."""
@@ -36,11 +42,14 @@ class Graph:
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        if self.n < 1:
-            raise GraphValidationError(f"node count must be >= 1, got {self.n}")
+        if not _is_int(self.n) or self.n < 1:
+            raise GraphValidationError(f"node count must be an integer >= 1, got {self.n!r}")
         seen = set()
         normalized = []
-        for i, j in self.edges:
+        for edge in self.edges:
+            if not (isinstance(edge, Sized) and len(edge) == 2 and all(map(_is_int, edge))):
+                raise GraphParseError(f"edge {edge!r} is not a pair of integer vertices")
+            i, j = edge
             if i == j:
                 raise GraphParseError(f"self-loop at vertex {i}")
             if not (0 <= i < self.n and 0 <= j < self.n):
@@ -192,11 +201,6 @@ def write_graph(path, g: Graph) -> None:
         f.write("\n")
 
 
-def _is_json_int(value) -> bool:
-    # bool subclasses int, but JSON true/false is not a vertex or a count.
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def read_graph(path) -> Graph:
     """Read a graph JSON file ({"n": int, "edges": [[i, j], ...]})."""
     with open(path, "r", encoding="utf-8") as f:
@@ -206,15 +210,9 @@ def read_graph(path) -> Graph:
             raise GraphParseError(f"{path}: line {e.lineno}: {e.msg}") from e
     if not isinstance(doc, dict) or "n" not in doc or "edges" not in doc:
         raise GraphParseError(f"{path}: expected an object with 'n' and 'edges'")
-    n, entries = doc["n"], doc["edges"]
-    if not _is_json_int(n):
-        raise GraphValidationError(f"{path}: 'n' must be a positive integer, got {n!r}")
-    if not isinstance(entries, list):
-        raise GraphParseError(f"{path}: 'edges' must be a list, got {entries!r}")
-    for entry in entries:
-        if not (isinstance(entry, list) and len(entry) == 2 and all(map(_is_json_int, entry))):
-            raise GraphParseError(f"{path}: bad edge entry {entry!r}")
+    if not isinstance(doc["edges"], list):
+        raise GraphParseError(f"{path}: 'edges' must be a list, got {doc['edges']!r}")
     try:
-        return Graph(n, tuple(map(tuple, entries)))
+        return Graph(doc["n"], tuple(doc["edges"]))
     except (GraphParseError, GraphValidationError) as e:
         raise type(e)(f"{path}: {e}") from e

@@ -38,8 +38,13 @@ def check_int(name: str, value, low: int) -> None:
 
 
 def check_real(name: str, value) -> None:
-    """Raise ValueError unless value is a finite real number, bool excluded."""
-    if not isinstance(value, numbers.Real) or isinstance(value, bool) or not math.isfinite(value):
+    """Raise ValueError unless value is a finite real number, bool excluded.
+    An int too large for a float is not finite."""
+    try:
+        finite = isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+    except OverflowError:
+        finite = False
+    if not finite:
         raise ValueError(f"{name} must be a finite number, got {value!r}")
 
 
@@ -220,8 +225,8 @@ def swarm_influence_grad(theta, pbest_positions: np.ndarray, c: float, rng) -> n
 
 def adam_update(m, v2, t: int, grad, beta1: float, beta2: float,
                 eta: float, epsilon: float):
-    """One adaptive-moment step. Returns (step, new_m, new_v2); the caller
-    owns the sign of the step application."""
+    """One adaptive-moment step at step count t. Returns (step, new_m, new_v2);
+    subtracting step descends grad."""
     grad = np.asarray(grad, dtype=np.float64)
     m_new = beta1 * m + (1.0 - beta1) * grad
     v2_new = beta2 * v2 + (1.0 - beta2) * grad * grad
@@ -268,7 +273,6 @@ def minimize(f: Callable[[np.ndarray], float], bounds, cfg: SwarmConfig) -> Opti
     velocities = np.zeros((s_count, dim))
     moments = np.zeros((s_count, dim))
     moments2 = np.zeros((s_count, dim))
-    adam_steps = np.zeros(s_count, dtype=np.int64)
 
     pbest_pos = positions.copy()
     pbest_loss = np.array([evaluate(positions[i]) for i in range(s_count)])
@@ -285,17 +289,15 @@ def minimize(f: Callable[[np.ndarray], float], bounds, cfg: SwarmConfig) -> Opti
             velocities[i] = w * velocities[i] + (cfg.c / s_count) * delta
             cand = positions[i] + velocities[i]
             if cfg.mode != "fipso_plain":
+                # Adam descends its gradient; adam_swarm climbs the influence.
                 if cfg.mode == "adam_fd":
                     grad = finite_diff_grad(evaluate, cand, cfg.fd_step)
-                    direction = -1.0
                 else:
-                    grad = swarm_influence_grad(cand, pbest_pos, cfg.c, rng)
-                    direction = 1.0
-                adam_steps[i] += 1
+                    grad = -swarm_influence_grad(cand, pbest_pos, cfg.c, rng)
                 step, moments[i], moments2[i] = adam_update(
-                    moments[i], moments2[i], int(adam_steps[i]), grad,
+                    moments[i], moments2[i], t, grad,
                     cfg.adam_beta1, cfg.adam_beta2, cfg.eta, cfg.epsilon)
-                cand = cand + direction * step
+                cand = cand - step
             np.clip(cand, lo, hi, out=cand)
             velocities[i] = cand - positions[i]
             positions[i] = cand

@@ -240,7 +240,8 @@ class TestRunSuite:
 
 class TestConfigFile:
     @pytest.mark.parametrize("text", ['{"swarm_size": 2.5}', "[1, 2]", "{not json",
-                                      '{"eta": "0.05"}', '{"bounds": [0, Infinity]}'])
+                                      '{"eta": "0.05"}', '{"bounds": [0, Infinity]}',
+                                      pytest.param('{"eta": 1%s}' % ("0" * 400), id="eta-400-digits")])
     @pytest.mark.parametrize("command", ["run-suite", "optimize"])
     def test_bad_config_is_usage_error(self, quick_argv, tmp_path, capsys, text, command):
         cfg = tmp_path / "swarm.json"

@@ -12,6 +12,7 @@ from swarmcut.experiment import (
     aggregate_report,
     derive_seed,
     improvement,
+    iter_suite,
     random_baseline,
     read_records_csv,
     render_report_text,
@@ -141,10 +142,24 @@ class TestRunSuite:
     def test_parallel_matches_sequential(self):
         assert run_suite(SMALL_SUITE, jobs=2) == run_suite(SMALL_SUITE, jobs=1)
 
-    def test_streaming_callback_sees_all_records(self):
-        seen = []
-        records = run_suite(SMALL_SUITE, on_record=seen.append)
-        assert seen == records
+    def test_iter_suite_runs_one_cell_per_record_pulled(self, monkeypatch):
+        import swarmcut.experiment as experiment
+
+        real = experiment.run_instance
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(experiment, "run_instance", counting)
+        stream = iter_suite(SMALL_SUITE)
+        assert calls == []
+        pulled = []
+        for record in stream:
+            pulled.append(record)
+            assert len(calls) == len(pulled)
+        assert pulled == run_suite(SMALL_SUITE)
 
     def test_default_suite_has_420_cells(self):
         assert len(SuiteConfig().cells()) == 420
@@ -187,6 +202,7 @@ class TestSuiteConfig:
         {"er_edge_prob": 0.0}, {"base_seed": -1}, {"base_seed": 1.5}, {"base_seed": True},
         {"depths": (1, 1)}, {"depths": (True,)}, {"depths": (1.0,)}, {"models": ("ER", "er")},
         {"er_edge_prob": "0.5"}, {"swarm": SwarmConfig(bounds=[(0.0, 1.0)] * 4)},
+        {"depths": 3}, {"models": 3}, {"depths": ([1],)},
     ])
     def test_invalid(self, kwargs):
         with pytest.raises(ValueError):
@@ -250,6 +266,21 @@ class TestPersistence:
         write_records_csv(path, run_suite(SMALL_SUITE))
         header = path.read_text().splitlines()[0]
         assert header == ",".join(CSV_COLUMNS)
+
+    def test_csv_rows_flushed_as_records_arrive(self, tmp_path):
+        records = run_suite(SMALL_SUITE)
+        write_records_csv(tmp_path / "all.csv", records)
+        rows = (tmp_path / "all.csv").read_text().splitlines()[1:]
+        path = tmp_path / "r.csv"
+
+        def stream():
+            for k, record in enumerate(records):
+                # The row of every record handed over so far is on disk.
+                assert path.read_text().splitlines()[1:] == rows[:k]
+                yield record
+
+        assert write_records_csv(path, stream()) == records
+        assert path.read_text().splitlines()[1:] == rows
 
     def test_missing_column_reported(self, tmp_path):
         path = tmp_path / "bad.csv"

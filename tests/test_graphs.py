@@ -55,6 +55,24 @@ class TestGraphType:
         with pytest.raises(ValueError):
             Graph(3, ((0, 3),))
 
+    @pytest.mark.parametrize("n, edges, error", [
+        (3, ((0, 1.5),), GraphParseError),
+        (3, ((True, 2),), GraphParseError),
+        (3, ((0, 1, 2),), GraphParseError),
+        (3, (5,), GraphParseError),
+        (2.5, (), GraphValidationError),
+        (True, (), GraphValidationError),
+        ("3", (), GraphValidationError),
+    ])
+    def test_field_types_checked(self, n, edges, error):
+        with pytest.raises(error):
+            Graph(n, edges)
+
+    def test_numpy_integers_accepted(self):
+        g = Graph(np.int64(3), ((np.int64(2), np.int32(0)), (np.uint8(1), 2)))
+        assert g.edges == ((0, 2), (1, 2))
+        assert max_cut_bruteforce(g).value == 2
+
     def test_cut_spectrum_built_once_and_read_only(self, monkeypatch):
         calls = []
 

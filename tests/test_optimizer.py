@@ -340,6 +340,27 @@ class TestAdamFipsoOptimize:
         assert a.best_loss == b.best_loss
         assert a.trace == b.trace
 
+    # Regression values for both Adam modes: a change to the step sign, the
+    # bias-correction step count or the rng draw order moves them.
+    PINNED = {
+        "adam_fd": ([-0.8782304186240842, 3.141592653589793, 1.1937645801664942, -0.685544288248604],
+                    [1.2436919614070314, 0.6596106441509864, 0.3020272646589304, 0.24903503772979876],
+                    3.515865805934615),
+        "adam_swarm": ([-3.141592653589793, 1.111977110151893, 1.0034566664442963, -0.7640975868725748],
+                       [1.2436919614070314, 0.9751068391563141, 0.9751068391563141, 0.9751068391563141],
+                       3.042008552583276),
+    }
+
+    @pytest.mark.parametrize("mode", sorted(PINNED))
+    def test_adam_modes_pinned(self, mode):
+        g = Graph(4, ((0, 1), (0, 2), (0, 3), (1, 2), (2, 3)))
+        cfg = SwarmConfig(swarm_size=4, max_iters=4, mode=mode, seed=5)
+        result = adam_fipso_optimize(g, 2, 4.0, cfg)
+        position, trace, expectation = self.PINNED[mode]
+        np.testing.assert_allclose(result.best_position, position, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(result.trace, trace, rtol=1e-12, atol=1e-12)
+        assert result.best_expectation == pytest.approx(expectation, rel=1e-12, abs=1e-12)
+
     def test_bad_depth(self):
         with pytest.raises(ValueError):
             adam_fipso_optimize(P2, 0, 1.0, SwarmConfig())
@@ -358,6 +379,7 @@ class TestSwarmConfig:
         {"seed": -1}, {"seed": 1.5}, {"seed": False}, {"seed": "3"},
         {"eta": "0.05"}, {"c": True}, {"fd_step": math.inf}, {"bounds": [0, math.inf]},
         {"bounds": ["0", "1"]}, {"bounds": []},
+        {"eta": 10 ** 400}, {"bounds": [0, 10 ** 400]},
     ])
     def test_invalid_configs(self, kwargs):
         with pytest.raises(ValueError):
