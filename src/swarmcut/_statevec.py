@@ -11,6 +11,11 @@ and the next group's qubits are on top. The rotations of all groups add up
 to n, so the original layout is back at the end. The state ping-pongs
 between the caller's array and a scratch buffer of the same size; with an
 odd number of groups one copy leaves the result in the caller's array.
+
+A MaxCut QAOA state is symmetric under flipping every bit, a(z) = a(~z), so
+a caller may keep only the half with the top qubit 0: apply_mixer on the
+low n-1 qubits, then apply_top_mixer for the top one, where
+a(z ^ top) = a(~z ^ top) = half[-1 - z].
 """
 
 import math
@@ -71,6 +76,16 @@ def apply_mixer(amps: np.ndarray, n: int, beta: float, scratch: np.ndarray | Non
         src, dst = dst, src
     if src is not amps:
         np.copyto(amps, src)
+
+
+def apply_top_mixer(half: np.ndarray, beta: float, scratch: np.ndarray) -> None:
+    """In place: exp(-i*beta*X) on the top qubit of a bit-flip-symmetric state
+    whose top-qubit-0 half is the 1-D array half, i.e.
+    half <- cos(beta)*half - i*sin(beta)*half[::-1]. scratch is a separate
+    array of the same shape and dtype; it is overwritten."""
+    np.multiply(half[::-1], -1j * math.sin(beta), out=scratch)
+    half *= math.cos(beta)
+    half += scratch
 
 
 def expectation_value(amps: np.ndarray, values: np.ndarray) -> float:

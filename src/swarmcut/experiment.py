@@ -12,6 +12,8 @@ import csv
 import hashlib
 import json
 import math
+import multiprocessing.context
+import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -236,6 +238,31 @@ def _run_cell(args):
         return _error_record(model, graph_index, n, p, exc)
 
 
+class _WorkerProcess(multiprocessing.context.SpawnProcess):
+    """A spawned sweep worker that starts with OPENBLAS_NUM_THREADS=1, so
+    OpenBLAS reads it when the worker imports NumPy and the workers do not
+    oversubscribe the CPU. The parent's own value is back once it has started."""
+
+    def start(self):
+        saved = os.environ.get("OPENBLAS_NUM_THREADS")
+        os.environ["OPENBLAS_NUM_THREADS"] = "1"
+        try:
+            super().start()
+        finally:
+            if saved is None:
+                del os.environ["OPENBLAS_NUM_THREADS"]
+            else:
+                os.environ["OPENBLAS_NUM_THREADS"] = saved
+
+
+class _WorkerContext(multiprocessing.context.SpawnContext):
+    Process = _WorkerProcess
+
+
+def _worker_pool(jobs: int) -> ProcessPoolExecutor:
+    return ProcessPoolExecutor(max_workers=jobs, mp_context=_WorkerContext())
+
+
 def iter_suite(cfg: SuiteConfig, jobs: int = 1):
     """Yield the record of every cell of the sweep as soon as it is done, in
     canonical order (model, graph_index, n, p) regardless of the worker count."""
@@ -243,7 +270,7 @@ def iter_suite(cfg: SuiteConfig, jobs: int = 1):
     if jobs <= 1:
         yield from map(_run_cell, tasks)
     else:
-        with ProcessPoolExecutor(max_workers=jobs) as executor:
+        with _worker_pool(jobs) as executor:
             yield from executor.map(_run_cell, tasks)
 
 

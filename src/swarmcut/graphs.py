@@ -8,7 +8,7 @@ simulator, so a basis-state index doubles as a partition mask.
 from __future__ import annotations
 
 import json
-from collections.abc import Sized
+from collections.abc import Iterable, Sized
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -44,6 +44,8 @@ class Graph:
     def __post_init__(self):
         if not _is_int(self.n) or self.n < 1:
             raise GraphValidationError(f"node count must be an integer >= 1, got {self.n!r}")
+        if not isinstance(self.edges, Iterable):
+            raise GraphParseError(f"edges must be a sequence of vertex pairs, got {self.edges!r}")
         seen = set()
         normalized = []
         for edge in self.edges:

@@ -67,15 +67,11 @@ def init_plus_state(n: int) -> np.ndarray:
     return np.full(size, 1.0 / math.sqrt(size), dtype=np.complex128)
 
 
-def _phase_table(spectrum_max: int, gamma: float) -> np.ndarray:
-    return np.exp(-1j * gamma * np.arange(spectrum_max + 1, dtype=np.float64))
-
-
 def apply_cost_layer(state: np.ndarray, spectrum: np.ndarray, gamma: float) -> np.ndarray:
     """Multiply amplitude z by exp(-i*gamma*spectrum[z]), in place."""
     if state.shape != spectrum.shape:
         raise ValueError(f"state size {state.shape} does not match spectrum {spectrum.shape}")
-    table = _phase_table(int(spectrum.max(initial=0)), gamma)
+    table = np.exp(-1j * gamma * np.arange(int(spectrum.max(initial=0)) + 1, dtype=np.float64))
     _statevec.apply_phase_table(state, spectrum, table)
     return state
 
@@ -92,28 +88,37 @@ def apply_mixer_layer(state: np.ndarray, beta: float) -> np.ndarray:
 class ExpectationEvaluator:
     """Repeated expectation evaluation for one graph.
 
-    Reads the graph's cached cut spectrum, keeps a float64 copy of it for
-    the reduction, and reuses one amplitude buffer and the mixer's scratch
+    The QAOA state is symmetric under flipping every bit: cut(z) = cut(~z),
+    |+>^n is symmetric, and X^n commutes with the cost phase and the mixer,
+    so a(z) = a(~z) for every z. The evaluator therefore keeps only the
+    2^(n-1) amplitudes with qubit n-1 = 0. It reads that half of the graph's
+    cached cut spectrum as phase indices, keeps twice it as float64 for the
+    reduction, and reuses one half-size amplitude buffer and one scratch
     buffer, so an optimizer can evaluate thousands of parameter vectors
-    without rebuilding or reallocating 2^n-sized arrays.
+    without rebuilding or reallocating state-sized arrays.
     """
 
     def __init__(self, g: Graph):
         self.graph = g
         self.n = g.n
         self.spectrum = g.cut_spectrum
-        self._max_value = int(self.spectrum.max(initial=0))
-        self._values = self.spectrum.astype(np.float64)
-        self._amps = np.empty(1 << g.n, dtype=np.complex128)
+        half = 1 << (g.n - 1)
+        self._indices = self.spectrum[:half]
+        self._values = 2.0 * self._indices
+        self._phase_exponents = -1j * np.arange(int(self.spectrum.max(initial=0)) + 1, dtype=np.float64)
+        self._amps = np.empty(half, dtype=np.complex128)
         self._scratch = np.empty_like(self._amps)
         self._init_amp = 1.0 / math.sqrt(1 << g.n)
 
     def expectation(self, gamma, beta) -> float:
-        amps = self._amps
+        amps, scratch = self._amps, self._scratch
         amps.fill(self._init_amp)
-        for g_k, b_k in zip(gamma, beta, strict=True):
-            _statevec.apply_phase_table(amps, self.spectrum, _phase_table(self._max_value, g_k))
-            _statevec.apply_mixer(amps, self.n, b_k, self._scratch)
+        # Row k is the phase table of layer k: exp(-i*gamma_k*c) for every cut size c.
+        tables = np.exp(np.multiply.outer(gamma, self._phase_exponents))
+        for table, b_k in zip(tables, beta, strict=True):
+            _statevec.apply_phase_table(amps, self._indices, table)
+            _statevec.apply_mixer(amps, self.n - 1, b_k, scratch)
+            _statevec.apply_top_mixer(amps, b_k, scratch)
         return _statevec.expectation_value(amps, self._values)
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import os
 
 import numpy as np
 import pytest
@@ -141,6 +142,18 @@ class TestRunSuite:
 
     def test_parallel_matches_sequential(self):
         assert run_suite(SMALL_SUITE, jobs=2) == run_suite(SMALL_SUITE, jobs=1)
+
+    @pytest.mark.parametrize("parent_value", [None, "3"], ids=["unset", "set"])
+    def test_workers_start_with_single_threaded_blas(self, monkeypatch, parent_value):
+        import swarmcut.experiment as experiment
+
+        if parent_value is None:
+            monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("OPENBLAS_NUM_THREADS", parent_value)
+        with experiment._worker_pool(2) as pool:
+            assert pool.submit(os.getenv, "OPENBLAS_NUM_THREADS").result() == "1"
+        assert os.environ.get("OPENBLAS_NUM_THREADS") == parent_value
 
     def test_iter_suite_runs_one_cell_per_record_pulled(self, monkeypatch):
         import swarmcut.experiment as experiment

@@ -68,6 +68,11 @@ class TestGraphType:
         with pytest.raises(error):
             Graph(n, edges)
 
+    @pytest.mark.parametrize("edges", [5, None])
+    def test_non_iterable_edges_rejected(self, edges):
+        with pytest.raises(GraphParseError, match="edges must be a sequence of vertex pairs"):
+            Graph(3, edges)
+
     def test_numpy_integers_accepted(self):
         g = Graph(np.int64(3), ((np.int64(2), np.int32(0)), (np.uint8(1), 2)))
         assert g.edges == ((0, 2), (1, 2))

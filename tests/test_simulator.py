@@ -243,6 +243,60 @@ class TestExpectation:
             assert ev.expectation(params.gamma, params.beta) == qaoa_expectation(g, params)
 
 
+def full_size_state(g, gamma, beta):
+    """The 2^n-amplitude QAOA state from the full-size public layer helpers."""
+    state = init_plus_state(g.n)
+    spectrum = build_cut_spectrum(g)
+    for g_k, b_k in zip(gamma, beta):
+        apply_cost_layer(state, spectrum, g_k)
+        apply_mixer_layer(state, b_k)
+    return state
+
+
+class TestBitFlipSymmetry:
+    """ExpectationEvaluator keeps only the amplitudes with qubit n-1 = 0. That
+    is exact because the full QAOA state satisfies a(z) = a(~z), which the
+    full-size helpers show here; the half state must agree with them."""
+
+    @staticmethod
+    def cases(n):
+        rng = np.random.default_rng(500 + n)
+        for p in (1, 2, 3):
+            g = generate_er(n, 0.5, seed=int(rng.integers(1 << 30)))
+            yield g, rng.uniform(-np.pi, np.pi, p), rng.uniform(-np.pi, np.pi, p)
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_full_state_is_symmetric(self, n):
+        for g, gamma, beta in self.cases(n):
+            state = full_size_state(g, gamma, beta)
+            np.testing.assert_allclose(state, state[::-1], rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_evaluator_matches_full_state(self, n):
+        for g, gamma, beta in self.cases(n):
+            state = full_size_state(g, gamma, beta)
+            full = float(np.vdot(state, build_cut_spectrum(g) * state).real)
+            assert abs(ExpectationEvaluator(g).expectation(gamma, beta) - full) < 1e-12
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 10])
+    def test_buffers_hold_half_the_amplitudes(self, n):
+        ev = ExpectationEvaluator(generate_er(n, 0.5, seed=n))
+        assert ev._amps.shape == ev._scratch.shape == (1 << (n - 1),)
+
+    @pytest.mark.parametrize("n", [1, 2, 4, 5, 9, 13])
+    def test_half_mixer_matches_full_mixer(self, n):
+        rng = np.random.default_rng(600 + n)
+        state = random_state(n, n)
+        state += state[::-1]
+        half = state[:1 << (n - 1)].copy()
+        scratch = np.empty_like(half)
+        for beta in rng.uniform(-np.pi, np.pi, 3):
+            _statevec.apply_mixer(state, n, beta)
+            _statevec.apply_mixer(half, n - 1, beta, scratch)
+            _statevec.apply_top_mixer(half, beta, scratch)
+            np.testing.assert_allclose(half, state[:1 << (n - 1)], rtol=0, atol=1e-12)
+
+
 class TestLandscape:
     def test_grid_point_at_origin(self):
         grid = landscape_grid(K3, (-1.0, 1.0), (-1.0, 1.0), resolution=3)
@@ -345,7 +399,9 @@ class TestClosedFormOracle:
                     dense = dense_expectation(g.n, g.edges, [g_ang], [b_ang])
                     assert abs(closed - dense) < 1e-12 * max(1, g.edge_count)
 
-    @pytest.mark.parametrize("n", [14, 15, 16, 17, 18])
+    @pytest.mark.parametrize("n", [14, 15, 16, 17, 18, 20,
+                                   pytest.param(22, marks=pytest.mark.slow),
+                                   pytest.param(24, marks=pytest.mark.slow)])
     def test_evaluator_beyond_dense_sizes(self, n):
         rng = np.random.default_rng(300 + n)
         g = generate_er(n, 0.5, seed=n)
