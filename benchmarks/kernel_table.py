@@ -1,4 +1,4 @@
-"""Per-n kernel timings: one mixer layer and one full p = 3 expectation.
+"""Per-n kernel timings: one mixer layer, one p = 3 expectation and one p = 3 gradient.
 
     python3 benchmarks/kernel_table.py --src new=src --src old=../old/src > table.json
 
@@ -8,13 +8,20 @@ time in a fresh interpreter, the sources alternating, so the speed drift of a
 shared machine falls on all of them alike. A round's timing is the median of
 REPEATS repeats, each the mean over enough calls to last at least 0.2 s; the
 table holds the median over rounds. The state is random, the
-graph is G(n, 0.5) with seed 0 and the angles are fixed. BLAS keeps its
-default thread count; OPENBLAS_NUM_THREADS, when set, is recorded.
+graph is G(n, 0.5) with seed 0 and the angles are fixed. The expectation
+alternates two angle vectors that differ in gamma_1, so every call
+simulates all three layers; the gradient is one central finite-difference
+gradient of the loss, 12 expectations in the optimizer's probe order. Both
+repeat the same betas, so from the second call on the mixer's group
+matrices come from its memo, where a swarm run builds new ones for each
+particle step. BLAS keeps its default thread count; OPENBLAS_NUM_THREADS,
+when set, is recorded.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import platform
@@ -29,7 +36,9 @@ NODES = range(3, 21)
 REPEATS = 7
 ROUNDS = 3
 GAMMA = (0.41, -0.73, 1.12)
+GAMMA_ALT = (0.47, -0.73, 1.12)
 BETA = (0.29, 0.57, -0.38)
+FD_STEP = 1e-3
 
 
 def _median_us(fn) -> float:
@@ -42,17 +51,23 @@ def measure(n: int) -> dict:
     """Time the swarmcut on sys.path at one n."""
     import numpy as np
 
-    from swarmcut import _statevec, generate_er
+    from swarmcut import _statevec, generate_er, max_cut_bruteforce
+    from swarmcut.optimizer import finite_diff_grad, make_objective
     from swarmcut.simulator import ExpectationEvaluator
 
     rng = np.random.default_rng(n)
     amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
     amps /= np.linalg.norm(amps)
     scratch = np.empty_like(amps)
-    ev = ExpectationEvaluator(generate_er(n, 0.5, 0))
+    g = generate_er(n, 0.5, 0)
+    ev = ExpectationEvaluator(g)
+    angles = itertools.cycle([(GAMMA, BETA), (GAMMA_ALT, BETA)])
+    loss = make_objective(g, 3, float(max_cut_bruteforce(g).value), 1.0)
+    theta = np.array(GAMMA + BETA)
     return {
         "mixer_us": _median_us(lambda: _statevec.apply_mixer(amps, n, BETA[0], scratch)),
-        "eval_p3_us": _median_us(lambda: ev.expectation(GAMMA, BETA)),
+        "eval_p3_us": _median_us(lambda: ev.expectation(*next(angles))),
+        "fd_grad_p3_us": _median_us(lambda: finite_diff_grad(loss, theta, FD_STEP)),
     }
 
 
@@ -91,7 +106,8 @@ def main(argv=None) -> int:
     cpu = next((line.split(":", 1)[1].strip() for line in cpuinfo if line.startswith("model name")),
                platform.machine())
     print(json.dumps({
-        "what": "us per mixer layer and per full p = 3 expectation, median over "
+        "what": "us per mixer layer, per full p = 3 expectation and per p = 3 "
+                "finite-difference gradient (12 expectations), median over "
                 f"{ROUNDS} alternating rounds of the median of {REPEATS} repeats, "
                 "G(n, 0.5) seed 0, random state",
         "machine": {"cpu": cpu, "nproc": os.cpu_count(),

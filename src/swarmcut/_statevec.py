@@ -18,6 +18,7 @@ low n-1 qubits, then apply_top_mixer for the top one, where
 a(z ^ top) = a(~z ^ top) = half[-1 - z].
 """
 
+import functools
 import math
 
 import numpy as np
@@ -32,16 +33,30 @@ _FLIPS = [np.array([[bin(a ^ b).count("1") for b in range(1 << k)] for a in rang
           for k in range(GROUP_QUBITS + 1)]
 
 
-def apply_phase_table(amps: np.ndarray, values: np.ndarray, table: np.ndarray) -> None:
-    """In place: amps[z] *= table[values[z]]."""
-    amps *= table[values]
+def apply_phase_table(amps: np.ndarray, values: np.ndarray, table: np.ndarray,
+                      scratch: np.ndarray | None = None, out: np.ndarray | None = None) -> None:
+    """out[z] = amps[z] * table[values[z]]; out defaults to amps (in place).
+
+    Every values[z] must index table: the gather runs in "clip" mode, which
+    writes straight into scratch (the default "raise" mode buffers and is
+    slower). scratch, when given, is overwritten and must share no memory
+    with amps or out; without it, one is allocated for the call.
+    """
+    phases = table.take(values, None, scratch, "clip")
+    np.multiply(amps, phases, amps if out is None else out)
 
 
+# One p = 3 finite-difference gradient uses 9 distinct betas, each with up to
+# two group sizes.
+@functools.lru_cache(maxsize=32)
 def _group_mixer(k: int, cos_b: float, sin_b: float) -> np.ndarray:
     """exp(-i*beta*X) on each of k qubits: entry (a, b) is
-    cos(beta)^(k-h) * (-i*sin(beta))^h with h = popcount(a XOR b)."""
+    cos(beta)^(k-h) * (-i*sin(beta))^h with h = popcount(a XOR b).
+    Memoised, so the matrix is read-only."""
     weights = [cos_b ** (k - h) * (-1j * sin_b) ** h for h in range(k + 1)]
-    return np.array(weights)[_FLIPS[k]]
+    m = np.array(weights)[_FLIPS[k]]
+    m.flags.writeable = False
+    return m
 
 
 def _reshapes_in_place(a: np.ndarray) -> bool:

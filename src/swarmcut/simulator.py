@@ -92,10 +92,17 @@ class ExpectationEvaluator:
     |+>^n is symmetric, and X^n commutes with the cost phase and the mixer,
     so a(z) = a(~z) for every z. The evaluator therefore keeps only the
     2^(n-1) amplitudes with qubit n-1 = 0. It reads that half of the graph's
-    cached cut spectrum as phase indices, keeps twice it as float64 for the
-    reduction, and reuses one half-size amplitude buffer and one scratch
-    buffer, so an optimizer can evaluate thousands of parameter vectors
-    without rebuilding or reallocating state-sized arrays.
+    cached cut spectrum as phase indices and keeps twice it as float64 for
+    the reduction.
+
+    It also keeps the half state after each layer of its last call, with
+    that call's angles, and starts the next call from the first layer whose
+    (gamma_k, beta_k) differ: a finite-difference probe of layer k reuses
+    layers 1..k-1 of the probe before it. The phase tables are rebuilt only
+    when the gammas change. A depth-p call thus holds p layer buffers and
+    one scratch buffer, allocated once, so an optimizer can evaluate
+    thousands of parameter vectors without reallocating state-sized arrays.
+    Every result is bit-identical to simulating all p layers afresh.
     """
 
     def __init__(self, g: Graph):
@@ -106,20 +113,52 @@ class ExpectationEvaluator:
         self._indices = self.spectrum[:half]
         self._values = 2.0 * self._indices
         self._phase_exponents = -1j * np.arange(int(self.spectrum.max(initial=0)) + 1, dtype=np.float64)
-        self._amps = np.empty(half, dtype=np.complex128)
-        self._scratch = np.empty_like(self._amps)
+        self._scratch = np.empty(half, dtype=np.complex128)
         self._init_amp = 1.0 / math.sqrt(1 << g.n)
+        # The first _depth of _layers hold the half state after layers 1..k+1
+        # at angles (_gammas[k], _betas[k]); row k of _tables is the phase
+        # table of _gammas[k].
+        self._layers: list[np.ndarray] = []
+        self._gammas: list[float] = []
+        self._betas: list[float] = []
+        self._depth = 0
+        self._tables = None
 
     def expectation(self, gamma, beta) -> float:
-        amps, scratch = self._amps, self._scratch
-        amps.fill(self._init_amp)
-        # Row k is the phase table of layer k: exp(-i*gamma_k*c) for every cut size c.
-        tables = np.exp(np.multiply.outer(gamma, self._phase_exponents))
-        for table, b_k in zip(tables, beta, strict=True):
-            _statevec.apply_phase_table(amps, self._indices, table)
-            _statevec.apply_mixer(amps, self.n - 1, b_k, scratch)
-            _statevec.apply_top_mixer(amps, b_k, scratch)
-        return _statevec.expectation_value(amps, self._values)
+        gamma = np.asarray(gamma, dtype=np.float64)
+        # Python float copies: the caller may change its arrays after the call.
+        gammas, betas = gamma.tolist(), np.asarray(beta, dtype=np.float64).tolist()
+        p = len(gammas)
+        if len(betas) != p:
+            raise ValueError(f"gamma and beta must have equal lengths, got {p} and {len(betas)}")
+        layers, scratch, kept_g, kept_b = self._layers, self._scratch, self._gammas, self._betas
+        start, depth = 0, min(p, self._depth)
+        while start < depth and gammas[start] == kept_g[start] and betas[start] == kept_b[start]:
+            start += 1
+        if start < p:
+            # Forget the layers about to be overwritten first, so that a call
+            # interrupted mid-way leaves no stale layer matching its angles.
+            self._depth = start
+            while len(layers) < p:
+                layers.append(np.empty_like(scratch))
+            if gammas != kept_g:
+                # exp(-i*gamma_k*c) for every layer k and cut size c; probes of
+                # a beta keep the gammas of the call before them.
+                self._tables = np.exp(np.multiply.outer(gamma, self._phase_exponents))
+                self._gammas = gammas
+            self._betas = betas
+            if start == 0:
+                layers[0].fill(self._init_amp)
+            for k in range(start, p):
+                state, b_k = layers[k], betas[k]
+                _statevec.apply_phase_table(layers[max(k - 1, 0)], self._indices, self._tables[k],
+                                            scratch, state)
+                _statevec.apply_mixer(state, self.n - 1, b_k, scratch)
+                _statevec.apply_top_mixer(state, b_k, scratch)
+            self._depth = p
+        elif p == 0:
+            scratch.fill(self._init_amp)
+        return _statevec.expectation_value(layers[p - 1] if p else scratch, self._values)
 
 
 def qaoa_expectation(g: Graph, params: QaoaParams) -> float:

@@ -2,9 +2,10 @@
 
 Each test prints one `[acceptance] ... PASS` line on success (written past
 pytest's capture so the lines always appear). The full default sweep up to
-n=16 is estimated at about 18 minutes in one process (measured evaluation
-time per (n, p) times S(1 + T(4p + 1)) + 1 evaluations per cell, in
-BENCH_8.json; an estimate, not a timed run) and is exercised at plan level
+n=16 is estimated at about 15 minutes in one process (per (n, p), the
+measured time of one finite-difference gradient plus one position
+evaluation per particle step, and of the S + 2 other evaluations of a
+cell, in BENCH_9.json; an estimate, not a timed run) and is exercised at plan level
 plus byte-identical reruns of a reduced sweep, per the stated desk-scale
 scope.
 """

@@ -97,6 +97,21 @@ class TestGraphType:
             g.cut_spectrum[0] = 1
 
 
+class TestCutSpectrum:
+    @pytest.mark.parametrize("n", range(1, 15))
+    def test_matches_per_edge_formula(self, n):
+        rng = np.random.default_rng(1000 + n)
+        for edge_prob in (0.0, rng.uniform(0.1, 0.9), 1.0):
+            g = generate_er(n, edge_prob, seed=int(rng.integers(1 << 30)))
+            idx = np.arange(1 << n, dtype=np.int64)
+            expected = np.zeros(1 << n, dtype=np.int64)
+            for i, j in g.edges:
+                expected += ((idx >> i) ^ (idx >> j)) & 1
+            values = cut_values_all_masks(g)
+            assert values.dtype == np.int64
+            np.testing.assert_array_equal(values, expected)
+
+
 class TestGenerateEr:
     def test_prob_one_gives_complete_graph(self):
         g = generate_er(3, 1.0, seed=99)

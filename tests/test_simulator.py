@@ -18,6 +18,7 @@ from swarmcut.simulator import (
     write_landscape_csv,
 )
 from swarmcut import _statevec
+from swarmcut.optimizer import finite_diff_grad, make_objective
 
 from dense_oracle import closed_form_p1_expectation, dense_expectation, dense_mixer, qubitwise_mixer
 
@@ -281,7 +282,10 @@ class TestBitFlipSymmetry:
     @pytest.mark.parametrize("n", [1, 2, 5, 10])
     def test_buffers_hold_half_the_amplitudes(self, n):
         ev = ExpectationEvaluator(generate_er(n, 0.5, seed=n))
-        assert ev._amps.shape == ev._scratch.shape == (1 << (n - 1),)
+        ev.expectation([0.3, -0.5, 1.1], [0.2, 0.7, -0.4])
+        assert len(ev._layers) == 3
+        for buf in (*ev._layers, ev._scratch):
+            assert buf.shape == (1 << (n - 1),)
 
     @pytest.mark.parametrize("n", [1, 2, 4, 5, 9, 13])
     def test_half_mixer_matches_full_mixer(self, n):
@@ -295,6 +299,100 @@ class TestBitFlipSymmetry:
             _statevec.apply_mixer(half, n - 1, beta, scratch)
             _statevec.apply_top_mixer(half, beta, scratch)
             np.testing.assert_allclose(half, state[:1 << (n - 1)], rtol=0, atol=1e-12)
+
+
+class TestPrefixReuse:
+    """The evaluator resumes from the first layer whose angles differ from
+    its last call's. That reuse must be invisible: every value equals a
+    fresh evaluator's, bit for bit."""
+
+    @staticmethod
+    def fresh(g, gamma, beta):
+        return ExpectationEvaluator(g).expectation(gamma, beta)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 6, 9])
+    def test_probe_pattern_with_caller_array_mutated_in_place(self, n):
+        rng = np.random.default_rng(700 + n)
+        g = generate_er(n, 0.5, seed=n)
+        ev = ExpectationEvaluator(g)
+        for p in (1, 2, 3):
+            theta = rng.uniform(-np.pi, np.pi, 2 * p)
+            for d in rng.integers(0, 2 * p, 12):
+                value = ev.expectation(theta[:p], theta[p:])
+                assert value == self.fresh(g, theta[:p].copy(), theta[p:].copy())
+                theta[d] += rng.choice([1e-3, -2e-3, 0.5])
+
+    @pytest.mark.parametrize("n", [2, 5, 8])
+    def test_depth_changes_between_calls(self, n):
+        rng = np.random.default_rng(800 + n)
+        g = generate_er(n, 0.6, seed=n)
+        ev = ExpectationEvaluator(g)
+        theta = rng.uniform(-np.pi, np.pi, 8)
+        for _ in range(40):
+            p = int(rng.integers(0, 5))
+            # Change one angle among the first four layers, or none.
+            d = int(rng.integers(0, 9))
+            if d < 8:
+                theta[d] = rng.uniform(-np.pi, np.pi)
+            gamma, beta = theta[:p].copy(), theta[4:4 + p].copy()
+            assert ev.expectation(gamma, beta) == self.fresh(g, gamma, beta)
+
+    def test_repeated_identical_calls(self):
+        g = generate_er(7, 0.5, seed=4)
+        ev = ExpectationEvaluator(g)
+        gamma, beta = [0.4, -1.2, 0.9], [0.3, 0.8, -0.6]
+        expected = self.fresh(g, gamma, beta)
+        assert [ev.expectation(gamma, beta) for _ in range(4)] == [expected] * 4
+        assert ev.expectation(gamma[:2], beta[:2]) == self.fresh(g, gamma[:2], beta[:2])
+        assert ev.expectation(gamma, beta) == expected
+
+    def test_two_evaluators_on_one_graph_interleaved(self):
+        rng = np.random.default_rng(900)
+        g = generate_ws(9, 4, 0.3, seed=2)
+        evs = [ExpectationEvaluator(g), ExpectationEvaluator(g)]
+        thetas = [rng.uniform(-np.pi, np.pi, 6), rng.uniform(-np.pi, np.pi, 6)]
+        for _ in range(30):
+            k = int(rng.integers(0, 2))
+            thetas[k][int(rng.integers(0, 6))] += 1e-3
+            theta = thetas[k]
+            assert evs[k].expectation(theta[:3], theta[3:]) == self.fresh(g, theta[:3], theta[3:])
+
+    def test_interrupted_call_leaves_no_stale_layers(self, monkeypatch):
+        g = generate_er(6, 0.5, seed=3)
+        ev = ExpectationEvaluator(g)
+        ev.expectation([0.1, 0.2, 0.3], [0.4, 0.5, 0.6])
+        apply_mixer, calls = _statevec.apply_mixer, []
+
+        def interrupted_at_layer_two(*args, **kwargs):
+            calls.append(args[2])
+            if len(calls) == 2:
+                raise KeyboardInterrupt
+            return apply_mixer(*args, **kwargs)
+
+        gamma, beta = [0.7, 0.2, 0.3], [0.4, 0.5, 0.6]
+        monkeypatch.setattr(_statevec, "apply_mixer", interrupted_at_layer_two)
+        with pytest.raises(KeyboardInterrupt):
+            ev.expectation(gamma, beta)
+        monkeypatch.setattr(_statevec, "apply_mixer", apply_mixer)
+        assert ev.expectation(gamma, beta) == self.fresh(g, gamma, beta)
+
+    @pytest.mark.parametrize("p, layers", [(1, 4), (2, 14), (3, 28)])
+    def test_fd_gradient_mixer_layer_count(self, monkeypatch, p, layers):
+        calls = []
+        apply_mixer = _statevec.apply_mixer
+
+        def counting(*args, **kwargs):
+            calls.append(args[2])
+            return apply_mixer(*args, **kwargs)
+
+        monkeypatch.setattr(_statevec, "apply_mixer", counting)
+        rng = np.random.default_rng(p)
+        loss = make_objective(generate_er(6, 0.5, seed=1), p, 5.0, 1.0)
+        # As in the optimizer: a position evaluation, then the gradient at another point.
+        loss(rng.uniform(-np.pi, np.pi, 2 * p))
+        calls.clear()
+        finite_diff_grad(loss, rng.uniform(-np.pi, np.pi, 2 * p), 1e-3)
+        assert len(calls) == layers
 
 
 class TestLandscape:
@@ -417,6 +515,35 @@ class TestClosedFormOracle:
         closed = closed_form_p1_expectation(g.n, g.edges, gammas[:, None], betas[None, :])
         grid = landscape_grid(g, (-2.5, 3.0), (-1.2, 0.9), resolution=5)
         assert np.abs(grid - closed).max() < 1e-12 * g.edge_count
+
+
+class TestPhaseTable:
+    @pytest.mark.parametrize("n", [1, 3, 6, 11])
+    def test_matches_fancy_index_bit_for_bit(self, n):
+        values = build_cut_spectrum(generate_er(n, 0.5, seed=n))
+        table = np.exp(-1j * 0.37 * np.arange(values.max() + 1))
+        state = random_state(n, n)
+        expected = state * table[values]
+        out, scratch = np.empty_like(state), np.empty_like(state)
+        before = state.copy()
+        _statevec.apply_phase_table(state, values, table, scratch, out)
+        np.testing.assert_array_equal(out, expected)
+        np.testing.assert_array_equal(state, before)
+        _statevec.apply_phase_table(state, values, table)
+        np.testing.assert_array_equal(state, expected)
+
+
+class TestGroupMixerMemo:
+    def test_read_only_and_equal_to_uncached_build(self):
+        for k in range(1, _statevec.GROUP_QUBITS + 1):
+            for beta in (0.0, 0.61, -2.3):
+                cos_b, sin_b = math.cos(beta), math.sin(beta)
+                m = _statevec._group_mixer(k, cos_b, sin_b)
+                assert not m.flags.writeable
+                assert _statevec._group_mixer(k, cos_b, sin_b) is m
+                np.testing.assert_array_equal(m, _statevec._group_mixer.__wrapped__(k, cos_b, sin_b))
+                with pytest.raises(ValueError):
+                    m[0, 0] = 0
 
 
 class TestMixerKernel:
