@@ -23,7 +23,7 @@ from typing import Callable
 import numpy as np
 
 from .graphs import Graph
-from .simulator import ExpectationEvaluator
+from .simulator import ExpectationEvaluator, evaluator_for
 
 MODES = ("adam_fd", "adam_swarm", "fipso_plain")
 
@@ -314,11 +314,15 @@ def minimize(f: Callable[[np.ndarray], float], bounds, cfg: SwarmConfig) -> Opti
                           best_expectation=None, trace=trace, evaluations=n_evals)
 
 
-def adam_fipso_optimize(g: Graph, p: int, c_target: float, cfg: SwarmConfig) -> OptimizeResult:
-    """Optimize the 2p QAOA angles of g against a classical target cut."""
+def adam_fipso_optimize(g: Graph, p: int, c_target: float, cfg: SwarmConfig, *,
+                        evaluator: ExpectationEvaluator | None = None) -> OptimizeResult:
+    """Optimize the 2p QAOA angles of g against a classical target cut.
+
+    evaluator, when given, is an ExpectationEvaluator of g to evaluate on, so
+    that a caller evaluating g again shares its state buffers."""
     if p < 1:
         raise ValueError(f"depth must be >= 1, got {p}")
-    ev = ExpectationEvaluator(g)
+    ev = evaluator_for(g, evaluator)
     result = minimize(_loss_from_evaluator(ev, p, c_target, cfg.lambda_), cfg.box(p), cfg)
     result.best_expectation = ev.expectation(result.best_position[:p], result.best_position[p:])
     return result

@@ -102,7 +102,10 @@ class ExpectationEvaluator:
     when the gammas change. A depth-p call thus holds p layer buffers and
     one scratch buffer, allocated once, so an optimizer can evaluate
     thousands of parameter vectors without reallocating state-sized arrays.
-    Every result is bit-identical to simulating all p layers afresh.
+    Each layer buffer comes with its _statevec.MixerPlan, checked and built
+    when the buffer is allocated, and a layer's phase product goes where
+    that plan reads, so no layer copies its result back. Every result is
+    bit-identical to simulating all p layers afresh.
     """
 
     def __init__(self, g: Graph):
@@ -117,8 +120,9 @@ class ExpectationEvaluator:
         self._init_amp = 1.0 / math.sqrt(1 << g.n)
         # The first _depth of _layers hold the half state after layers 1..k+1
         # at angles (_gammas[k], _betas[k]); row k of _tables is the phase
-        # table of _gammas[k].
+        # table of _gammas[k]; _plans[k] mixes _layers[k] through _scratch.
         self._layers: list[np.ndarray] = []
+        self._plans: list[_statevec.MixerPlan] = []
         self._gammas: list[float] = []
         self._betas: list[float] = []
         self._depth = 0
@@ -131,7 +135,8 @@ class ExpectationEvaluator:
         p = len(gammas)
         if len(betas) != p:
             raise ValueError(f"gamma and beta must have equal lengths, got {p} and {len(betas)}")
-        layers, scratch, kept_g, kept_b = self._layers, self._scratch, self._gammas, self._betas
+        layers, plans, scratch = self._layers, self._plans, self._scratch
+        kept_g, kept_b = self._gammas, self._betas
         start, depth = 0, min(p, self._depth)
         while start < depth and gammas[start] == kept_g[start] and betas[start] == kept_b[start]:
             start += 1
@@ -141,6 +146,7 @@ class ExpectationEvaluator:
             self._depth = start
             while len(layers) < p:
                 layers.append(np.empty_like(scratch))
+                plans.append(_statevec.MixerPlan(layers[-1], self.n, scratch, half=True))
             if gammas != kept_g:
                 # exp(-i*gamma_k*c) for every layer k and cut size c; probes of
                 # a beta keep the gammas of the call before them.
@@ -150,15 +156,24 @@ class ExpectationEvaluator:
             if start == 0:
                 layers[0].fill(self._init_amp)
             for k in range(start, p):
-                state, b_k = layers[k], betas[k]
+                # The phase product goes where the layer's mixer reads its
+                # input, so that the mixer's last product lands in layers[k].
                 _statevec.apply_phase_table(layers[max(k - 1, 0)], self._indices, self._tables[k],
-                                            scratch, state)
-                _statevec.apply_mixer(state, self.n - 1, b_k, scratch)
-                _statevec.apply_top_mixer(state, b_k, scratch)
+                                            scratch, plans[k].source)
+                _statevec.apply_mixer(layers[k], self.n, betas[k], plans[k])
             self._depth = p
         elif p == 0:
             scratch.fill(self._init_amp)
         return _statevec.expectation_value(layers[p - 1] if p else scratch, self._values)
+
+
+def evaluator_for(g: Graph, evaluator: ExpectationEvaluator | None) -> ExpectationEvaluator:
+    """evaluator, checked to be one of g, or a new one of g when it is None."""
+    if evaluator is None:
+        return ExpectationEvaluator(g)
+    if evaluator.graph is not g:
+        raise ValueError("the evaluator was built for another graph")
+    return evaluator
 
 
 def qaoa_expectation(g: Graph, params: QaoaParams) -> float:

@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from swarmcut import Graph, SwarmConfig, generate_ws, max_cut_bruteforce
+from swarmcut import Graph, SwarmConfig, adam_fipso_optimize, generate_ws, max_cut_bruteforce
 from swarmcut.experiment import (
     CSV_COLUMNS,
     SuiteConfig,
@@ -23,6 +23,7 @@ from swarmcut.experiment import (
     write_records_json,
     write_report_csv,
 )
+from swarmcut.simulator import ExpectationEvaluator
 
 P2 = Graph(2, ((0, 1),))
 K3 = Graph(3, ((0, 1), (0, 2), (1, 2)))
@@ -63,6 +64,10 @@ class TestRandomBaseline:
         b = random_baseline(K3, p=2, seed=5)
         np.testing.assert_array_equal(a[0], b[0])
         assert a[1:] == b[1:]
+
+    def test_evaluator_of_another_graph_rejected(self):
+        with pytest.raises(ValueError):
+            random_baseline(K3, p=1, seed=0, evaluator=ExpectationEvaluator(P2))
 
     def test_edgeless_graph_rejected(self):
         with pytest.raises(ValueError):
@@ -117,6 +122,26 @@ class TestRunInstance:
             assert record.opt_cut <= record.max_cut + 1e-9
             assert record.rand_cut <= record.max_cut + 1e-9
             assert record.classical_cut <= record.max_cut
+
+    def test_one_evaluator_per_cell_with_unchanged_record(self, monkeypatch):
+        # The baseline and the swarm share the cell's evaluator. Prefix reuse
+        # is exact, so the record equals one built from separate evaluators.
+        graphs, init = [], ExpectationEvaluator.__init__
+
+        def counting_init(self, g):
+            graphs.append(g)
+            init(self, g)
+
+        monkeypatch.setattr(ExpectationEvaluator, "__init__", counting_init)
+        record = run_instance("ER", 1, 4, 2, SMALL_SUITE)
+        monkeypatch.undo()
+        assert len(graphs) == 1
+        g = graphs[0]
+        _, rand_cut, rand_ar = random_baseline(g, 2, record.baseline_seed, max_cut=record.max_cut)
+        result = adam_fipso_optimize(g, 2, float(record.max_cut), SMALL_SUITE.swarm.with_seed(record.swarm_seed))
+        assert (record.rand_cut, record.rand_ar) == (rand_cut, rand_ar)
+        assert (record.opt_cut, record.opt_loss) == (result.best_expectation, result.best_loss)
+        assert record.opt_params == tuple(result.best_position)
 
     def test_graph_shared_across_depths(self):
         r1 = run_instance("ER", 1, 4, 1, SMALL_SUITE)

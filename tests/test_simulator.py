@@ -272,12 +272,15 @@ class TestBitFlipSymmetry:
             state = full_size_state(g, gamma, beta)
             np.testing.assert_allclose(state, state[::-1], rtol=0, atol=1e-12)
 
+    # n <= FOLD_QUBITS + 1 folds each mixer layer into one product; larger n chain groups.
     @pytest.mark.parametrize("n", range(1, 11))
     def test_evaluator_matches_full_state(self, n):
         for g, gamma, beta in self.cases(n):
             state = full_size_state(g, gamma, beta)
             full = float(np.vdot(state, build_cut_spectrum(g) * state).real)
-            assert abs(ExpectationEvaluator(g).expectation(gamma, beta) - full) < 1e-12
+            value = ExpectationEvaluator(g).expectation(gamma, beta)
+            assert abs(value - full) < 1e-12
+            assert abs(value - dense_expectation(n, g.edges, gamma, beta)) < 1e-12
 
     @pytest.mark.parametrize("n", [1, 2, 5, 10])
     def test_buffers_hold_half_the_amplitudes(self, n):
@@ -287,18 +290,32 @@ class TestBitFlipSymmetry:
         for buf in (*ev._layers, ev._scratch):
             assert buf.shape == (1 << (n - 1),)
 
-    @pytest.mark.parametrize("n", [1, 2, 4, 5, 9, 13])
+    # n = 6 is the largest folded layer, n = 7 the smallest group chain.
+    @pytest.mark.parametrize("n", [1, 2, 4, 5, 6, 7, 9, 13])
     def test_half_mixer_matches_full_mixer(self, n):
         rng = np.random.default_rng(600 + n)
         state = random_state(n, n)
         state += state[::-1]
         half = state[:1 << (n - 1)].copy()
-        scratch = np.empty_like(half)
+        plan = _statevec.MixerPlan(half, n, np.empty_like(half), half=True)
+        assert plan.fold == (n - 1 <= _statevec.FOLD_QUBITS)
         for beta in rng.uniform(-np.pi, np.pi, 3):
             _statevec.apply_mixer(state, n, beta)
-            _statevec.apply_mixer(half, n - 1, beta, scratch)
-            _statevec.apply_top_mixer(half, beta, scratch)
+            np.copyto(plan.source, half)
+            _statevec.apply_mixer(half, n, beta, plan)
             np.testing.assert_allclose(half, state[:1 << (n - 1)], rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_folded_mixer_matches_dense_oracle(self, n):
+        # On a symmetric state, column b >= 2^(n-1) of the dense mixer meets
+        # the amplitude of its mirror 2^n - 1 - b, so the half-state matrix
+        # adds the mirrored right half of the top rows to their left half.
+        size = 1 << (n - 1)
+        for beta in (0.0, 0.43, -2.1, math.pi / 2):
+            dense = dense_mixer(n, beta)[:size]
+            expected = dense[:, :size] + dense[:, size:][:, ::-1]
+            folded = _statevec._folded_mixer(n, math.cos(beta), math.sin(beta))
+            np.testing.assert_allclose(folded, expected, rtol=0, atol=1e-13)
 
 
 class TestPrefixReuse:
@@ -387,12 +404,14 @@ class TestPrefixReuse:
 
         monkeypatch.setattr(_statevec, "apply_mixer", counting)
         rng = np.random.default_rng(p)
-        loss = make_objective(generate_er(6, 0.5, seed=1), p, 5.0, 1.0)
-        # As in the optimizer: a position evaluation, then the gradient at another point.
-        loss(rng.uniform(-np.pi, np.pi, 2 * p))
-        calls.clear()
-        finite_diff_grad(loss, rng.uniform(-np.pi, np.pi, 2 * p), 1e-3)
-        assert len(calls) == layers
+        # n = 6 folds each mixer layer into one product; n = 9 chains groups.
+        for n in (6, 9):
+            loss = make_objective(generate_er(n, 0.5, seed=1), p, 5.0, 1.0)
+            # As in the optimizer: a position evaluation, then the gradient at another point.
+            loss(rng.uniform(-np.pi, np.pi, 2 * p))
+            calls.clear()
+            finite_diff_grad(loss, rng.uniform(-np.pi, np.pi, 2 * p), 1e-3)
+            assert len(calls) == layers
 
 
 class TestLandscape:
@@ -535,15 +554,21 @@ class TestPhaseTable:
 
 class TestGroupMixerMemo:
     def test_read_only_and_equal_to_uncached_build(self):
-        for k in range(1, _statevec.GROUP_QUBITS + 1):
+        # Group layers from one partial group to two groups and a rest, and
+        # folded layers from one to FOLD_QUBITS half-state qubits.
+        cases = [(q, False) for q in range(1, 2 * _statevec.GROUP_QUBITS + 2)]
+        cases += [(q, True) for q in range(_statevec.FOLD_QUBITS + 1)]
+        for qubits, fold in cases:
             for beta in (0.0, 0.61, -2.3):
-                cos_b, sin_b = math.cos(beta), math.sin(beta)
-                m = _statevec._group_mixer(k, cos_b, sin_b)
-                assert not m.flags.writeable
-                assert _statevec._group_mixer(k, cos_b, sin_b) is m
-                np.testing.assert_array_equal(m, _statevec._group_mixer.__wrapped__(k, cos_b, sin_b))
-                with pytest.raises(ValueError):
-                    m[0, 0] = 0
+                matrices = _statevec._layer_matrices(qubits, fold, beta)
+                assert _statevec._layer_matrices(qubits, fold, beta) is matrices
+                fresh = _statevec._layer_matrices.__wrapped__(qubits, fold, beta)
+                assert len(matrices) == len(fresh) == (1 if fold else -(-qubits // _statevec.GROUP_QUBITS))
+                for m, expected in zip(matrices, fresh):
+                    assert not m.flags.writeable
+                    np.testing.assert_array_equal(m, expected)
+                    with pytest.raises(ValueError):
+                        m[0, 0] = 0
 
 
 class TestMixerKernel:
@@ -601,6 +626,13 @@ class TestMixerKernel:
         with pytest.raises(ValueError):
             _statevec.apply_mixer(state, n, 0.5, make_scratch(buf, 1 << n))
         np.testing.assert_array_equal(state, before)
+
+    def test_plan_for_another_state_rejected(self):
+        state, other = random_state(6, 1), random_state(6, 2)
+        with pytest.raises(ValueError):
+            _statevec.apply_mixer(state, 6, 0.5, _statevec.MixerPlan(other, 6, np.empty_like(other)))
+        with pytest.raises(ValueError):
+            _statevec.apply_mixer(state, 5, 0.5, _statevec.MixerPlan(state, 6, np.empty_like(state)))
 
     def test_strided_state(self):
         state = random_state(7, 4)[::2]
