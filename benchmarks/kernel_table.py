@@ -1,4 +1,4 @@
-"""Per-n kernel timings: a mixer layer, a p = 3 expectation, gradient and particle step.
+"""Per-n kernel timings: a p = 3 layer, expectation, gradient and particle step.
 
     python3 benchmarks/kernel_table.py --src new=src --src old=../old/src > table.json
 
@@ -8,16 +8,18 @@ timed ROUNDS times, each time in a fresh interpreter, the sources
 alternating, so the speed drift of a shared machine falls on all of them
 alike. A round's timing is the median of REPEATS repeats, each the mean
 over enough calls to last at least 0.2 s; the table holds the median over
-rounds. The state is random, the graph is G(n, 0.5) with seed 0 and the
-angles are fixed. The mixer layer is one apply_mixer call on the full 2^n
-state with a scratch array. The expectation alternates two angle vectors
-that differ in gamma_1, so every call simulates all three layers; the
-gradient is one central finite-difference gradient of the loss, 12
-expectations in the optimizer's probe order. Both repeat the same betas,
-so from the second call on the mixer's matrices come from its memo. A swarm
-run instead builds new ones for each particle step, which the particle step
-column charges: each call is a gradient at angles no earlier call used, then
-one position evaluation a step of STEP away in every angle, 13 expectations.
+rounds. The graph is G(n, 0.5) with seed 0 and the angles are fixed. The
+layer is one p = 3 evaluator call whose beta_3 alternates between two
+values, so every call redoes exactly its last layer on the half state: the
+phase product, the mixer and the reduction. The expectation alternates two
+angle vectors that differ in gamma_1, so every call simulates all three
+layers; the gradient is one central finite-difference gradient of the
+loss, 12 expectations in the optimizer's probe order. All three repeat the
+same betas, so from the second call on the mixer's matrices come from its
+memo. A swarm run instead builds new ones for each particle step, which the
+particle step column charges: each call is a gradient at angles no earlier
+call used, then one position evaluation a step of STEP away in every angle,
+13 expectations.
 BLAS keeps its default thread count; OPENBLAS_NUM_THREADS, when set, is
 recorded.
 """
@@ -42,6 +44,7 @@ ROUNDS = 3
 GAMMA = (0.41, -0.73, 1.12)
 GAMMA_ALT = (0.47, -0.73, 1.12)
 BETA = (0.29, 0.57, -0.38)
+BETA_ALT = (0.29, 0.57, -0.31)
 FD_STEP = 1e-3
 STEP = 0.05
 
@@ -56,16 +59,13 @@ def measure(n: int) -> dict:
     """Time the swarmcut on sys.path at one n."""
     import numpy as np
 
-    from swarmcut import _statevec, generate_er, max_cut_bruteforce
+    from swarmcut import generate_er, max_cut_bruteforce
     from swarmcut.optimizer import finite_diff_grad, make_objective
     from swarmcut.simulator import ExpectationEvaluator
 
-    rng = np.random.default_rng(n)
-    amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
-    amps /= np.linalg.norm(amps)
-    scratch = np.empty_like(amps)
     g = generate_er(n, 0.5, 0)
     ev = ExpectationEvaluator(g)
+    last_layer = itertools.cycle([(GAMMA, BETA), (GAMMA, BETA_ALT)])
     angles = itertools.cycle([(GAMMA, BETA), (GAMMA_ALT, BETA)])
     loss = make_objective(g, 3, float(max_cut_bruteforce(g).value), 1.0)
     theta = np.array(GAMMA + BETA)
@@ -79,7 +79,7 @@ def measure(n: int) -> dict:
         loss(at - STEP)
 
     return {
-        "mixer_us": _median_us(lambda: _statevec.apply_mixer(amps, n, BETA[0], scratch)),
+        "layer_us": _median_us(lambda: ev.expectation(*next(last_layer))),
         "eval_p3_us": _median_us(lambda: ev.expectation(*next(angles))),
         "fd_grad_p3_us": _median_us(lambda: finite_diff_grad(loss, theta, FD_STEP)),
         "particle_step_p3_us": _median_us(particle_step),
@@ -124,11 +124,11 @@ def main(argv=None) -> int:
     cpu = next((line.split(":", 1)[1].strip() for line in cpuinfo if line.startswith("model name")),
                platform.machine())
     print(json.dumps({
-        "what": "us per mixer layer, per full p = 3 expectation, per p = 3 "
-                "finite-difference gradient (12 expectations) and per p = 3 particle "
-                "step at fresh angles (gradient plus position evaluation), median over "
-                f"{ROUNDS} alternating rounds of the median of {REPEATS} repeats, "
-                "G(n, 0.5) seed 0, random state",
+        "what": "us per p = 3 evaluator call that redoes its last layer, per full p = 3 "
+                "expectation, per p = 3 finite-difference gradient (12 expectations) and "
+                "per p = 3 particle step at fresh angles (gradient plus position "
+                f"evaluation), median over {ROUNDS} alternating rounds of the median of "
+                f"{REPEATS} repeats, G(n, 0.5) seed 0",
         "machine": {"cpu": cpu, "nproc": os.cpu_count(),
                     "python": platform.python_version(), "numpy": np.__version__,
                     "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS")},

@@ -14,10 +14,15 @@ MixerPlan reads a layer's input from whichever of the two makes the last
 product land in the caller's array, so a caller that writes the input there
 (the evaluator's phase product does) needs no copy.
 
+Each kernel has one call form, and the caller owns every buffer it passes:
+apply_mixer takes a MixerPlan, apply_phase_table a scratch and an output
+array. The evaluator builds its buffers and plans once; the full-size
+helpers in simulator allocate theirs on every call.
+
 A MaxCut QAOA state is symmetric under flipping every bit, a(z) = a(~z), so
 a caller may keep only the half with the top qubit n-1 at 0, 2^m amplitudes
 with m = n - 1. For larger halves the low m qubits go through the groups and
-the top qubit is the reversal apply_top_mixer, since
+the top qubit is a reversal, the layer's last step (MixerPlan.top), since
 a(z ^ top) = a(~z ^ top) = half[-1 - z]. For halves of at most FOLD_QUBITS
 qubits the whole layer is one product with the 2^m x 2^m matrix U below.
 Write c = cos(beta), s = -i*sin(beta) and h(a, b) = popcount(a XOR b); the
@@ -50,20 +55,20 @@ BACKEND = "python"
 
 GROUP_QUBITS = 4
 FOLD_QUBITS = 5
+REDUCE_CHUNK = 1 << 13
 
 
 def apply_phase_table(amps: np.ndarray, values: np.ndarray, table: np.ndarray,
-                      scratch: np.ndarray | None = None, out: np.ndarray | None = None) -> None:
-    """out[z] = amps[z] * table[values[z]]; out defaults to amps (in place).
+                      scratch: np.ndarray, out: np.ndarray) -> None:
+    """out[z] = amps[z] * table[values[z]]; out may be amps (in place).
 
     Every values[z] must index table: the gather runs in "clip" mode, which
     writes straight into scratch (the default "raise" mode buffers and is
-    slower). scratch, when given, is overwritten and must share no memory
-    with amps; it may be out itself, and then the product is formed in place
-    there. Without it, one is allocated for the call.
+    slower). scratch is overwritten and must share no memory with amps; it
+    may be out itself, and then the product is formed in place there.
     """
     phases = table.take(values, None, scratch, "clip")
-    np.multiply(amps, phases, amps if out is None else out)
+    np.multiply(amps, phases, out)
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -166,24 +171,15 @@ class MixerPlan:
                            for i, size in enumerate(sizes))
 
 
-def apply_mixer(amps: np.ndarray, n: int, beta: float, scratch=None) -> None:
+def apply_mixer(amps: np.ndarray, n: int, beta: float, plan: MixerPlan) -> None:
     """Apply exp(-i*beta*X) to every qubit of the n-qubit state amps; the
     result lands in amps.
 
-    scratch is None, an array or a MixerPlan. Without a plan, amps holds all
-    2^n amplitudes and the call builds one from scratch (allocated for the
-    call when None; see MixerPlan for what it must be), so the mixer is in
-    place. A plan must be built for this amps and n; the layer then reads
-    its input from plan.source, which the caller has filled.
+    plan must be built for this amps and n. The layer reads its input from
+    plan.source, which the caller has filled, and overwrites plan.scratch.
     """
-    if isinstance(scratch, MixerPlan):
-        plan = scratch
-        if plan.amps is not amps or plan.n != n:
-            raise ValueError("the mixer plan was built for another state")
-    else:
-        plan = MixerPlan(amps, n, np.empty_like(amps) if scratch is None else scratch)
-        if plan.source is not amps:
-            np.copyto(plan.source, amps)
+    if plan.amps is not amps or plan.n != n:
+        raise ValueError("the mixer plan was built for another state")
     matrices = _layer_matrices(plan.qubits, plan.fold, beta)
     if plan.fold:
         # np.dot's matrix-vector path costs half of matmul's at these sizes.
@@ -193,21 +189,22 @@ def apply_mixer(amps: np.ndarray, n: int, beta: float, scratch=None) -> None:
     for (src, dst), m in zip(plan.steps, matrices):
         np.matmul(src, m, out=dst)
     if plan.top:
-        apply_top_mixer(amps, beta, plan.scratch)
-
-
-def apply_top_mixer(half: np.ndarray, beta: float, scratch: np.ndarray) -> None:
-    """In place: exp(-i*beta*X) on the top qubit of a bit-flip-symmetric state
-    whose top-qubit-0 half is the 1-D array half, i.e.
-    half <- cos(beta)*half - i*sin(beta)*half[::-1]. scratch is a separate
-    array of the same shape and dtype; it is overwritten."""
-    np.multiply(half[::-1], -1j * math.sin(beta), out=scratch)
-    half *= math.cos(beta)
-    half += scratch
+        # Qubit n-1 of a half state: amps <- cos(beta)*amps - i*sin(beta)*amps[::-1].
+        np.multiply(amps[::-1], -1j * math.sin(beta), out=plan.scratch)
+        amps *= math.cos(beta)
+        amps += plan.scratch
 
 
 def expectation_value(amps: np.ndarray, values: np.ndarray) -> float:
     """Sum over basis states of |amplitude|^2 times the diagonal value; pass
-    float64 values, or the product converts them on every call."""
+    float64 values, or the product converts them on every call.
+
+    OpenBLAS splits a dot product of more than about 10,000 elements across
+    its threads, so the bits of a longer one depend on the thread count. The
+    sum therefore adds dots of REDUCE_CHUNK elements in index order.
+    """
     probs = amps.real ** 2 + amps.imag ** 2
-    return float(probs @ values)
+    total = 0.0
+    for i in range(0, probs.size, REDUCE_CHUNK):
+        total += float(probs[i:i + REDUCE_CHUNK] @ values[i:i + REDUCE_CHUNK])
+    return total

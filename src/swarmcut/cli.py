@@ -112,6 +112,10 @@ def _swarm_config(args, depths=()) -> SwarmConfig:
 
 
 def cmd_run_suite(args) -> int:
+    out = Path(args.out)
+    sidecar = out.with_suffix(".json")
+    if sidecar == out:
+        raise UsageError(f"--out: {out} is also the path of its .json sidecar; give it another suffix")
     swarm = _swarm_config(args)
     lo, hi = args.nodes
     try:
@@ -123,8 +127,6 @@ def cmd_run_suite(args) -> int:
         flag = {"node_lo": "--nodes", "node_hi": "--nodes", "instances_per_size": "--instances",
                 "bounds": args.config}
         raise UsageError(f"{flag.get(field, '--' + field)}: {exc}")
-    out = Path(args.out)
-    sidecar = out.with_suffix(".json")
 
     def progress(r):
         flag = f" [{r.flag}]" if r.flag else ""

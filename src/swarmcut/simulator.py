@@ -72,7 +72,7 @@ def apply_cost_layer(state: np.ndarray, spectrum: np.ndarray, gamma: float) -> n
     if state.shape != spectrum.shape:
         raise ValueError(f"state size {state.shape} does not match spectrum {spectrum.shape}")
     table = np.exp(-1j * gamma * np.arange(int(spectrum.max(initial=0)) + 1, dtype=np.float64))
-    _statevec.apply_phase_table(state, spectrum, table)
+    _statevec.apply_phase_table(state, spectrum, table, np.empty_like(state), state)
     return state
 
 
@@ -81,7 +81,10 @@ def apply_mixer_layer(state: np.ndarray, beta: float) -> np.ndarray:
     n = state.size.bit_length() - 1
     if 1 << n != state.size:
         raise ValueError(f"state size {state.size} is not a power of two")
-    _statevec.apply_mixer(state, n, beta)
+    plan = _statevec.MixerPlan(state, n, np.empty_like(state))
+    if plan.source is not state:
+        np.copyto(plan.source, state)
+    _statevec.apply_mixer(state, n, beta, plan)
     return state
 
 

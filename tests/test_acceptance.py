@@ -2,12 +2,10 @@
 
 Each test prints one `[acceptance] ... PASS` line on success (written past
 pytest's capture so the lines always appear). The full default sweep up to
-n=16 is estimated at about 15 minutes in one process (per (n, p), the
-measured time of one finite-difference gradient plus one position
-evaluation per particle step, and of the S + 2 other evaluations of a
-cell, in BENCH_9.json; an estimate, not a timed run) and is exercised at plan level
-plus byte-identical reruns of a reduced sweep, per the stated desk-scale
-scope.
+n=16 took 15 min 57 s with --jobs 1 and 8 min 53 s with --jobs 2 on a
+2-vCPU Xeon VM (BENCH_11.json), too long for this gate, so it is exercised
+at plan level plus byte-identical reruns of a reduced sweep, per the stated
+desk-scale scope.
 """
 
 import json

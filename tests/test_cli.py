@@ -201,6 +201,14 @@ class TestRunSuite:
         assert main(["run-suite", *SMALL_SUITE_FLAGS, "--out", str(out)]) == 1
         assert "no_such_dir" in capsys.readouterr().err
 
+    def test_out_equal_to_sidecar_is_usage_error(self, tmp_path, capsys):
+        # The sidecar is --out with the suffix .json, so it would overwrite the CSV.
+        with pytest.raises(SystemExit) as exc:
+            main(["run-suite", *SMALL_SUITE_FLAGS, "--out", str(tmp_path / "r.json")])
+        assert exc.value.code == 2
+        assert "--out" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_unknown_flag_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             main(["run-suite", "--bogus"])

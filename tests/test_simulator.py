@@ -1,4 +1,9 @@
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -300,7 +305,7 @@ class TestBitFlipSymmetry:
         plan = _statevec.MixerPlan(half, n, np.empty_like(half), half=True)
         assert plan.fold == (n - 1 <= _statevec.FOLD_QUBITS)
         for beta in rng.uniform(-np.pi, np.pi, 3):
-            _statevec.apply_mixer(state, n, beta)
+            apply_mixer_layer(state, beta)
             np.copyto(plan.source, half)
             _statevec.apply_mixer(half, n, beta, plan)
             np.testing.assert_allclose(half, state[:1 << (n - 1)], rtol=0, atol=1e-12)
@@ -548,8 +553,50 @@ class TestPhaseTable:
         _statevec.apply_phase_table(state, values, table, scratch, out)
         np.testing.assert_array_equal(out, expected)
         np.testing.assert_array_equal(state, before)
-        _statevec.apply_phase_table(state, values, table)
+        _statevec.apply_phase_table(state, values, table, scratch, state)
         np.testing.assert_array_equal(state, expected)
+
+
+# Prints, for each (n, points) read from stdin, the evaluator's values at
+# those p = 3 points on G(n, 0.5) with seed n.
+EVALUATE_POINTS = """
+import json, sys
+from swarmcut import generate_er
+from swarmcut.simulator import ExpectationEvaluator
+for n, points in json.load(sys.stdin):
+    ev = ExpectationEvaluator(generate_er(n, 0.5, seed=n))
+    print(json.dumps([ev.expectation(gamma, beta) for gamma, beta in points]))
+"""
+
+
+class TestReduction:
+    def test_bits_independent_of_blas_threads(self):
+        # run-suite --jobs N workers run OpenBLAS with one thread and the
+        # parent process with its default, so every value must come out the
+        # same under both. Half states of n = 15, 16 exceed one chunk.
+        rng = np.random.default_rng(1516)
+        cases = [(n, rng.uniform(-np.pi, np.pi, (8, 2, 3)).tolist()) for n in (15, 16)]
+        src = str(Path(_statevec.__file__).resolve().parents[1])
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        out = subprocess.run([sys.executable, "-c", EVALUATE_POINTS], input=json.dumps(cases),
+                             env=env, capture_output=True, text=True, check=True).stdout
+        for (n, points), line in zip(cases, out.splitlines(), strict=True):
+            ev = ExpectationEvaluator(generate_er(n, 0.5, seed=n))
+            assert [ev.expectation(gamma, beta) for gamma, beta in points] == json.loads(line)
+
+    def test_one_chunk_is_one_dot(self):
+        # Half states of n <= 14 are one chunk: their values are the plain
+        # dot's, as before the reduction was chunked.
+        rng = np.random.default_rng(14)
+        for size in (1, 5, _statevec.REDUCE_CHUNK, 3 * _statevec.REDUCE_CHUNK + 7):
+            amps = rng.normal(size=size) + 1j * rng.normal(size=size)
+            values = rng.integers(0, 40, size).astype(np.float64)
+            probs = amps.real ** 2 + amps.imag ** 2
+            value = _statevec.expectation_value(amps, values)
+            if size <= _statevec.REDUCE_CHUNK:
+                assert value == float(probs @ values)
+            assert abs(value - math.fsum(probs * values)) <= 1e-13 * value
 
 
 class TestGroupMixerMemo:
@@ -583,7 +630,7 @@ class TestMixerKernel:
         state = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
         for beta in rng.uniform(-np.pi, np.pi, 3):
             expected = dense_mixer(n, beta) @ state
-            _statevec.apply_mixer(state, n, beta)
+            apply_mixer_layer(state, beta)
             np.testing.assert_allclose(state, expected, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("n", range(1, 7))
@@ -596,20 +643,28 @@ class TestMixerKernel:
     def test_matches_qubitwise_oracle(self, n):
         rng = np.random.default_rng(177 + n)
         state = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
-        scratch = np.empty_like(state)
         for beta in rng.uniform(-np.pi, np.pi, 2):
             expected = qubitwise_mixer(state, n, beta)
-            _statevec.apply_mixer(state, n, beta, scratch)
+            apply_mixer_layer(state, beta)
             np.testing.assert_allclose(state, expected, rtol=0, atol=1e-12)
 
-    @pytest.mark.parametrize("with_scratch", [False, True])
+    # A half plan folds at n = 3 and chains groups plus the top qubit above.
+    @pytest.mark.parametrize("half", [False, True])
     @pytest.mark.parametrize("n", [3, 8, 12, 13])
-    def test_result_lands_in_callers_array(self, n, with_scratch):
+    def test_result_lands_in_callers_array(self, n, half):
         state = random_state(n, 5 + n)
+        if half:
+            state += state[::-1]
         expected = qubitwise_mixer(state, n, -1.3)
-        scratch = np.empty_like(state) if with_scratch else None
-        _statevec.apply_mixer(state, n, -1.3, scratch)
-        np.testing.assert_allclose(state, expected, rtol=0, atol=1e-12)
+        if half:
+            amps, expected = state[:1 << (n - 1)].copy(), expected[:1 << (n - 1)]
+            plan = _statevec.MixerPlan(amps, n, np.empty_like(amps), half=True)
+            np.copyto(plan.source, amps)
+            _statevec.apply_mixer(amps, n, -1.3, plan)
+        else:
+            amps = state
+            apply_mixer_layer(amps, -1.3)
+        np.testing.assert_allclose(amps, expected, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("make_scratch", [
         lambda buf, size: buf[:size],
@@ -624,7 +679,7 @@ class TestMixerKernel:
         state = buf[:1 << n]
         before = state.copy()
         with pytest.raises(ValueError):
-            _statevec.apply_mixer(state, n, 0.5, make_scratch(buf, 1 << n))
+            _statevec.MixerPlan(state, n, make_scratch(buf, 1 << n))
         np.testing.assert_array_equal(state, before)
 
     def test_plan_for_another_state_rejected(self):
@@ -637,13 +692,13 @@ class TestMixerKernel:
     def test_strided_state(self):
         state = random_state(7, 4)[::2]
         expected = qubitwise_mixer(state, 6, 0.5)
-        _statevec.apply_mixer(state, 6, 0.5)
+        apply_mixer_layer(state, 0.5)
         np.testing.assert_allclose(state, expected, rtol=0, atol=1e-12)
 
     def test_non_contiguous_2d_state_rejected(self):
         state = random_state(7, 4).reshape(8, 16)[:, ::2]
         with pytest.raises(ValueError):
-            _statevec.apply_mixer(state, 6, 0.5)
+            apply_mixer_layer(state, 0.5)
 
 
 # derandomize keeps the suite's outcome fixed from run to run; database=None
@@ -679,7 +734,7 @@ class TestMixerProperties:
     @given(n=qubit_counts, seed=seeds, beta=angles)
     def test_preserves_norm(self, n, seed, beta):
         state = random_state(n, seed)
-        _statevec.apply_mixer(state, n, beta)
+        apply_mixer_layer(state, beta)
         assert abs(np.linalg.norm(state) - 1.0) < 1e-12
 
     @MIXER_PROPERTY
@@ -687,9 +742,9 @@ class TestMixerProperties:
     def test_angles_add(self, n, seed, beta1, beta2):
         state = random_state(n, seed)
         combined = state.copy()
-        _statevec.apply_mixer(state, n, beta1)
-        _statevec.apply_mixer(state, n, beta2)
-        _statevec.apply_mixer(combined, n, beta1 + beta2)
+        apply_mixer_layer(state, beta1)
+        apply_mixer_layer(state, beta2)
+        apply_mixer_layer(combined, beta1 + beta2)
         np.testing.assert_allclose(state, combined, rtol=0, atol=1e-12)
 
     @MIXER_PROPERTY
@@ -697,5 +752,5 @@ class TestMixerProperties:
     def test_zero_angle_is_identity(self, n, seed):
         state = random_state(n, seed)
         before = state.copy()
-        _statevec.apply_mixer(state, n, 0.0)
+        apply_mixer_layer(state, 0.0)
         np.testing.assert_allclose(state, before, rtol=0, atol=1e-15)
