@@ -1,30 +1,31 @@
 """Statevector kernels: the diagonal cost phase, the transverse-field mixer and
 the expectation reduction. Bit q of a state index is qubit q.
 
-The mixer exp(-i*beta*X) factorises over qubits, so it is applied to
-GROUP_QUBITS qubits at a time as one dense 2^k x 2^k matrix M, and each group
-is one flat matrix product on a rotating layout. Read as a (2^k, 2^(n-k))
-matrix, the state's rows are indexed by its top k index bits; the product
-src.T @ M.T applies M to those bits and, written out as a C-ordered
-(2^(n-k), 2^k) matrix, moves them to the bottom: the index bits rotate by k
-and the next group's qubits are on top. The rotations of all groups add up
-to n, so the original layout is back at the end. The state ping-pongs
-between the caller's array and a scratch buffer of the same size. A
-MixerPlan reads a layer's input from whichever of the two makes the last
-product land in the caller's array, so a caller that writes the input there
-(the evaluator's phase product does) needs no copy.
+A MaxCut QAOA state is symmetric under flipping every bit, a(z) = a(~z), so
+the engine keeps only the half with the top qubit n-1 at 0: 2^m amplitudes
+with m = n - 1, in one contiguous 1-D array. That is its only layout.
+
+The mixer exp(-i*beta*X) factorises over qubits, so the low m qubits are
+applied GROUP_QUBITS at a time as one dense 2^k x 2^k matrix M, and each
+group is one flat matrix product on a rotating layout. Read as a
+(2^k, 2^(m-k)) matrix, the half state's rows are indexed by its top k index
+bits; the product src.T @ M.T applies M to those bits and, written out as a
+C-ordered (2^(m-k), 2^k) matrix, moves them to the bottom: the index bits
+rotate by k and the next group's qubits are on top. The rotations of all
+groups add up to m, so the original layout is back at the end. The state
+ping-pongs between the caller's array and a scratch buffer of the same
+size. A MixerPlan reads a layer's input from whichever of the two makes the
+last product land in the caller's array, so a caller that writes the input
+there (the evaluator's phase product does) needs no copy. The top qubit is
+then a reversal, the layer's last step, since
+a(z ^ top) = a(~z ^ top) = half[-1 - z].
 
 Each kernel has one call form, and the caller owns every buffer it passes:
 apply_mixer takes a MixerPlan, apply_phase_table a scratch and an output
-array. The evaluator builds its buffers and plans once; the full-size
-helpers in simulator allocate theirs on every call.
+array. The evaluator builds its buffers and plans once.
 
-A MaxCut QAOA state is symmetric under flipping every bit, a(z) = a(~z), so
-a caller may keep only the half with the top qubit n-1 at 0, 2^m amplitudes
-with m = n - 1. For larger halves the low m qubits go through the groups and
-the top qubit is a reversal, the layer's last step (MixerPlan.top), since
-a(z ^ top) = a(~z ^ top) = half[-1 - z]. For halves of at most FOLD_QUBITS
-qubits the whole layer is one product with the 2^m x 2^m matrix U below.
+For halves of at most FOLD_QUBITS qubits the whole layer, top qubit
+included, is one product with the 2^m x 2^m matrix U below.
 Write c = cos(beta), s = -i*sin(beta) and h(a, b) = popcount(a XOR b); the
 n-qubit mixer has entries c^(n-h) s^h. For a < 2^m,
 
@@ -126,40 +127,32 @@ def _layer_matrices(qubits: int, fold: bool, beta: float) -> tuple[np.ndarray, .
     return tuple(built[k] for k in groups)
 
 
-def _reshapes_in_place(a: np.ndarray) -> bool:
-    return a.ndim == 1 or a.flags.c_contiguous
-
-
 class MixerPlan:
-    """The operands of one mixer layer on a fixed state array, checked and
+    """The operands of one mixer layer on a fixed half state, checked and
     built once, so that a caller mixing the same array many times pays for
     neither the buffer checks nor the reshapes again.
 
-    amps is a 1-D or C-contiguous array (so that its reshapes are views) of
-    2^n amplitudes, or, with half, the contiguous 1-D array of the 2^(n-1)
-    amplitudes with qubit n-1 at 0 of a bit-flip-symmetric n-qubit state.
-    scratch is an array of the same shape, dtype and layout rule that shares
-    no memory with amps; apply_mixer overwrites it. source is the array a
-    layer reads its input from: amps itself, or scratch when the layer takes
-    an odd number of products, so that the last product lands in amps.
+    amps is the contiguous 1-D array of the 2^(n-1) amplitudes with qubit
+    n-1 at 0 of a bit-flip-symmetric n-qubit state. scratch is a contiguous
+    1-D array of the same shape and dtype that shares no memory with amps;
+    apply_mixer overwrites it. source is the array a layer reads its input
+    from: amps itself, or scratch when the layer takes an odd number of
+    products, so that the last product lands in amps.
     """
 
-    __slots__ = ("amps", "n", "scratch", "source", "steps", "qubits", "fold", "top")
+    __slots__ = ("amps", "n", "scratch", "source", "steps", "qubits", "fold")
 
-    def __init__(self, amps: np.ndarray, n: int, scratch: np.ndarray, half: bool = False):
-        if not _reshapes_in_place(amps):
-            raise ValueError("state must be 1-D or C-contiguous")
+    def __init__(self, amps: np.ndarray, n: int, scratch: np.ndarray):
+        if not (amps.ndim == 1 and amps.flags.c_contiguous):
+            raise ValueError("a half state must be a contiguous 1-D array")
         if (scratch.shape != amps.shape or scratch.dtype != amps.dtype
-                or not _reshapes_in_place(scratch) or np.may_share_memory(amps, scratch)):
-            raise ValueError("scratch must be a separate 1-D or C-contiguous array of the state's shape and dtype")
-        if half and not (amps.ndim == 1 and amps.flags.c_contiguous and scratch.flags.c_contiguous):
-            raise ValueError("a half state and its scratch must be contiguous 1-D arrays")
-        qubits = n - 1 if half else n
+                or not scratch.flags.c_contiguous or np.may_share_memory(amps, scratch)):
+            raise ValueError("scratch must be a separate contiguous array of the state's shape and dtype")
+        qubits = n - 1
         if qubits < 0 or amps.size != 1 << qubits:
-            raise ValueError(f"a {'half ' if half else ''}state of {n} qubits cannot have {amps.size} amplitudes")
+            raise ValueError(f"a half state of {n} qubits cannot have {amps.size} amplitudes")
         self.amps, self.n, self.scratch, self.qubits = amps, n, scratch, qubits
-        self.fold = half and qubits <= FOLD_QUBITS
-        self.top = half and not self.fold
+        self.fold = qubits <= FOLD_QUBITS
         if self.fold:
             # One matrix-vector product, from scratch into amps.
             self.source, self.steps = scratch, ()
@@ -172,8 +165,8 @@ class MixerPlan:
 
 
 def apply_mixer(amps: np.ndarray, n: int, beta: float, plan: MixerPlan) -> None:
-    """Apply exp(-i*beta*X) to every qubit of the n-qubit state amps; the
-    result lands in amps.
+    """Apply exp(-i*beta*X) to every qubit of the n-qubit symmetric state
+    whose half is amps; the result lands in amps.
 
     plan must be built for this amps and n. The layer reads its input from
     plan.source, which the caller has filled, and overwrites plan.scratch.
@@ -188,11 +181,10 @@ def apply_mixer(amps: np.ndarray, n: int, beta: float, plan: MixerPlan) -> None:
     # Every matrix is symmetric, so it stands for the m.T of the rotated product.
     for (src, dst), m in zip(plan.steps, matrices):
         np.matmul(src, m, out=dst)
-    if plan.top:
-        # Qubit n-1 of a half state: amps <- cos(beta)*amps - i*sin(beta)*amps[::-1].
-        np.multiply(amps[::-1], -1j * math.sin(beta), out=plan.scratch)
-        amps *= math.cos(beta)
-        amps += plan.scratch
+    # Qubit n-1: amps <- cos(beta)*amps - i*sin(beta)*amps[::-1].
+    np.multiply(amps[::-1], -1j * math.sin(beta), out=plan.scratch)
+    amps *= math.cos(beta)
+    amps += plan.scratch
 
 
 def expectation_value(amps: np.ndarray, values: np.ndarray) -> float:

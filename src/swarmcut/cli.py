@@ -113,6 +113,8 @@ def _swarm_config(args, depths=()) -> SwarmConfig:
 
 def cmd_run_suite(args) -> int:
     out = Path(args.out)
+    if not out.name:
+        raise UsageError(f"--out: {args.out!r} names a directory, not a file")
     sidecar = out.with_suffix(".json")
     if sidecar == out:
         raise UsageError(f"--out: {out} is also the path of its .json sidecar; give it another suffix")

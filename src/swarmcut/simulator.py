@@ -4,6 +4,9 @@ The cost Hamiltonian is diagonal in the computational basis: the eigenvalue
 of basis state z is the cut size of z read as a partition mask, so one layer
 of cost evolution is a per-amplitude phase and one mixer layer is a 2x2 map
 on every qubit. Basis indexing is little-endian, matching graphs.cut_size.
+Every entry point here (qaoa_expectation, landscape_grid) goes through
+ExpectationEvaluator, which simulates the bit-flip-symmetric half state with
+the kernels of _statevec.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _statevec
-from .graphs import MAX_NODES, CapacityError, Graph
+from .graphs import Graph
 
 LANDSCAPE_DEFAULT_RANGE = (-math.pi, math.pi)
 LANDSCAPE_DEFAULT_RESOLUTION = 64
@@ -51,41 +54,6 @@ class QaoaParams:
 
     def to_vector(self) -> np.ndarray:
         return np.concatenate([self.gamma, self.beta])
-
-
-def build_cut_spectrum(g: Graph) -> np.ndarray:
-    """Diagonal of the cost Hamiltonian: entry z is the cut size of mask z.
-    The graph's read-only cached spectrum, shared by every caller."""
-    return g.cut_spectrum
-
-
-def init_plus_state(n: int) -> np.ndarray:
-    """Uniform superposition over all 2^n basis states."""
-    if n > MAX_NODES:
-        raise CapacityError(f"n={n} exceeds the {MAX_NODES}-qubit statevector cap")
-    size = 1 << n
-    return np.full(size, 1.0 / math.sqrt(size), dtype=np.complex128)
-
-
-def apply_cost_layer(state: np.ndarray, spectrum: np.ndarray, gamma: float) -> np.ndarray:
-    """Multiply amplitude z by exp(-i*gamma*spectrum[z]), in place."""
-    if state.shape != spectrum.shape:
-        raise ValueError(f"state size {state.shape} does not match spectrum {spectrum.shape}")
-    table = np.exp(-1j * gamma * np.arange(int(spectrum.max(initial=0)) + 1, dtype=np.float64))
-    _statevec.apply_phase_table(state, spectrum, table, np.empty_like(state), state)
-    return state
-
-
-def apply_mixer_layer(state: np.ndarray, beta: float) -> np.ndarray:
-    """Apply exp(-i*beta*X) to every qubit, in place."""
-    n = state.size.bit_length() - 1
-    if 1 << n != state.size:
-        raise ValueError(f"state size {state.size} is not a power of two")
-    plan = _statevec.MixerPlan(state, n, np.empty_like(state))
-    if plan.source is not state:
-        np.copyto(plan.source, state)
-    _statevec.apply_mixer(state, n, beta, plan)
-    return state
 
 
 class ExpectationEvaluator:
@@ -149,7 +117,7 @@ class ExpectationEvaluator:
             self._depth = start
             while len(layers) < p:
                 layers.append(np.empty_like(scratch))
-                plans.append(_statevec.MixerPlan(layers[-1], self.n, scratch, half=True))
+                plans.append(_statevec.MixerPlan(layers[-1], self.n, scratch))
             if gammas != kept_g:
                 # exp(-i*gamma_k*c) for every layer k and cut size c; probes of
                 # a beta keep the gammas of the call before them.

@@ -21,15 +21,8 @@ from swarmcut import Graph, SwarmConfig, generate_er, max_cut_bruteforce, write_
 from swarmcut.cli import main as cli_main
 from swarmcut.experiment import SuiteConfig, aggregate_report, run_instance, run_suite
 from swarmcut.optimizer import adam_update, finite_diff_grad, minimize
-from swarmcut.simulator import (
-    ExpectationEvaluator,
-    QaoaParams,
-    apply_cost_layer,
-    apply_mixer_layer,
-    build_cut_spectrum,
-    init_plus_state,
-    qaoa_expectation,
-)
+from swarmcut import _statevec
+from swarmcut.simulator import ExpectationEvaluator, QaoaParams, qaoa_expectation
 
 from dense_oracle import connected_graphs_up_to, dense_expectation, dense_expectation_gradient
 
@@ -169,16 +162,19 @@ def test_criterion_8_bias_correction_identity():
 def test_criterion_9_invariant_suite(reduced_suite_records):
     rng = np.random.default_rng(909)
 
-    # norm preservation through random layer sequences
+    # norm preservation through random layer sequences, with the evaluator's
+    # kernels on the half state; the full state's norm is twice the half's
     for _ in range(10):
         n = int(rng.integers(2, 8))
         g = generate_er(n, 0.5, seed=int(rng.integers(1 << 30)))
-        spectrum = build_cut_spectrum(g)
-        state = init_plus_state(n)
+        values = g.cut_spectrum[:1 << (n - 1)]
+        state = np.full(1 << (n - 1), 1 / math.sqrt(1 << n), dtype=complex)
+        plan = _statevec.MixerPlan(state, n, np.empty_like(state))
         for _ in range(6):
-            apply_cost_layer(state, spectrum, float(rng.uniform(-np.pi, np.pi)))
-            apply_mixer_layer(state, float(rng.uniform(-np.pi, np.pi)))
-            assert abs(np.vdot(state, state).real - 1.0) < 1e-10
+            table = np.exp(-1j * float(rng.uniform(-np.pi, np.pi)) * np.arange(values.max() + 1))
+            _statevec.apply_phase_table(state, values, table, plan.scratch, plan.source)
+            _statevec.apply_mixer(state, n, float(rng.uniform(-np.pi, np.pi)), plan)
+            assert abs(2 * np.vdot(state, state).real - 1.0) < 1e-10
 
     # expectation periodicity: beta + pi and gamma + 2*pi
     for _ in range(10):

@@ -201,13 +201,16 @@ class TestRunSuite:
         assert main(["run-suite", *SMALL_SUITE_FLAGS, "--out", str(out)]) == 1
         assert "no_such_dir" in capsys.readouterr().err
 
-    def test_out_equal_to_sidecar_is_usage_error(self, tmp_path, capsys):
-        # The sidecar is --out with the suffix .json, so it would overwrite the CSV.
-        with pytest.raises(SystemExit) as exc:
-            main(["run-suite", *SMALL_SUITE_FLAGS, "--out", str(tmp_path / "r.json")])
-        assert exc.value.code == 2
-        assert "--out" in capsys.readouterr().err
-        assert list(tmp_path.iterdir()) == []
+    def test_out_equal_to_sidecar_is_usage_error(self, tmp_path, capsys, monkeypatch):
+        # The sidecar of r.json is --out itself, so it would overwrite the
+        # CSV; "." has an empty name, so it has no sidecar at all.
+        monkeypatch.chdir(tmp_path)
+        for out in ("r.json", "."):
+            with pytest.raises(SystemExit) as exc:
+                main(["run-suite", *SMALL_SUITE_FLAGS, "--out", out])
+            assert exc.value.code == 2
+            assert "--out" in capsys.readouterr().err
+            assert list(tmp_path.iterdir()) == []
 
     def test_unknown_flag_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:

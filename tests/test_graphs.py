@@ -21,7 +21,7 @@ from swarmcut import (
 from swarmcut import graphs
 from swarmcut.graphs import cut_size, cut_values_all_masks
 from swarmcut.optimizer import SwarmConfig, adam_fipso_optimize
-from swarmcut.simulator import ExpectationEvaluator, build_cut_spectrum
+from swarmcut.simulator import ExpectationEvaluator
 
 from dense_oracle import cut_size_loop
 
@@ -88,11 +88,11 @@ class TestGraphType:
         monkeypatch.setattr(graphs, "cut_values_all_masks", counting)
         g = generate_er(6, 0.5, seed=3)
         target = max_cut_bruteforce(g).value
-        build_cut_spectrum(g)
+        g.cut_spectrum
         ExpectationEvaluator(g).expectation([0.3], [0.2])
         adam_fipso_optimize(g, 1, float(target), SwarmConfig(swarm_size=2, max_iters=1))
         assert len(calls) == 1
-        assert g.cut_spectrum is build_cut_spectrum(g)
+        assert g.cut_spectrum is g.cut_spectrum
         with pytest.raises(ValueError):
             g.cut_spectrum[0] = 1
 

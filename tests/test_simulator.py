@@ -12,20 +12,12 @@ from hypothesis import strategies as st
 
 from swarmcut import CapacityError, Graph, generate_er, generate_ws, max_cut_bruteforce, qaoa_expectation
 from swarmcut import simulator
-from swarmcut.simulator import (
-    ExpectationEvaluator,
-    QaoaParams,
-    apply_cost_layer,
-    apply_mixer_layer,
-    build_cut_spectrum,
-    init_plus_state,
-    landscape_grid,
-    write_landscape_csv,
-)
+from swarmcut.simulator import ExpectationEvaluator, QaoaParams, landscape_grid, write_landscape_csv
 from swarmcut import _statevec
 from swarmcut.optimizer import finite_diff_grad, make_objective
 
-from dense_oracle import closed_form_p1_expectation, dense_expectation, dense_mixer, qubitwise_mixer
+from dense_oracle import (closed_form_p1_expectation, dense_expectation, dense_mixer, dense_state,
+                          qubitwise_mixer)
 
 P2 = Graph(2, ((0, 1),))
 K3 = Graph(3, ((0, 1), (0, 2), (1, 2)))
@@ -35,6 +27,32 @@ def random_state(n, seed):
     rng = np.random.default_rng(seed)
     state = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
     return state / np.linalg.norm(state)
+
+
+def symmetric_state(n, seed):
+    """A random unit-norm n-qubit state with a(z) = a(~z), like every QAOA state."""
+    state = random_state(n, seed)
+    state += state[::-1]
+    return state / np.linalg.norm(state)
+
+
+def mix_half(half, n, beta):
+    """exp(-i*beta*X) on the symmetric n-qubit state whose half is half,
+    through a MixerPlan; the result lands in half."""
+    plan = _statevec.MixerPlan(half, n, np.empty_like(half))
+    np.copyto(plan.source, half)
+    _statevec.apply_mixer(half, n, beta, plan)
+
+
+def phase_half(half, values, gamma):
+    """exp(-i*gamma*values) on half, in place, through apply_phase_table."""
+    table = np.exp(-1j * gamma * np.arange(values.max(initial=0) + 1))
+    _statevec.apply_phase_table(half, values, table, np.empty_like(half), half)
+
+
+def half_norm(half):
+    """Norm squared of the full state whose half is half."""
+    return 2 * np.vdot(half, half).real
 
 
 def random_graph_and_params(rng, n_max=5, p_max=3):
@@ -67,99 +85,111 @@ class TestQaoaParams:
 
 class TestCutSpectrum:
     def test_p2(self):
-        assert build_cut_spectrum(P2).tolist() == [0, 1, 1, 0]
+        assert P2.cut_spectrum.tolist() == [0, 1, 1, 0]
 
     def test_k3(self):
-        assert build_cut_spectrum(K3).tolist() == [0, 2, 2, 2, 2, 2, 2, 0]
+        assert K3.cut_spectrum.tolist() == [0, 2, 2, 2, 2, 2, 2, 0]
 
     def test_empty_graph(self):
-        assert build_cut_spectrum(Graph(2, ())).tolist() == [0, 0, 0, 0]
+        assert Graph(2, ()).cut_spectrum.tolist() == [0, 0, 0, 0]
 
     def test_complement_symmetry(self):
         g = generate_er(6, 0.5, seed=4)
-        values = build_cut_spectrum(g)
+        values = g.cut_spectrum
         complement = np.arange(values.size) ^ (values.size - 1)
         np.testing.assert_array_equal(values, values[complement])
 
     def test_capacity(self):
         with pytest.raises(CapacityError):
-            build_cut_spectrum(Graph(25, ()))
+            Graph(25, ()).cut_spectrum
 
 
 class TestInitPlusState:
+    """The evaluator starts from |+>^n: every amplitude of the half state is
+    2^(-n/2). A depth-0 call leaves that state in its scratch buffer."""
+
+    @staticmethod
+    def initial_half(n):
+        ev = ExpectationEvaluator(Graph(n, ()))
+        assert ev.expectation([], []) == 0.0
+        return ev._scratch
+
     def test_single_qubit(self):
-        np.testing.assert_allclose(init_plus_state(1), [1 / math.sqrt(2)] * 2)
+        np.testing.assert_allclose(self.initial_half(1), [1 / math.sqrt(2)])
 
     def test_two_qubits(self):
-        np.testing.assert_allclose(init_plus_state(2), [0.5] * 4)
+        np.testing.assert_allclose(self.initial_half(2), [0.5] * 2)
 
     def test_norm_sixteen_qubits(self):
-        state = init_plus_state(16)
-        assert abs(np.vdot(state, state).real - 1.0) < 1e-12
+        assert abs(half_norm(self.initial_half(16)) - 1.0) < 1e-12
 
     def test_capacity(self):
         with pytest.raises(CapacityError):
-            init_plus_state(25)
+            ExpectationEvaluator(Graph(25, ()))
 
 
 class TestCostLayer:
+    """The cost layer is apply_phase_table with the table exp(-i*gamma*c) over
+    cut sizes c, on the half state and the matching half of the spectrum."""
+
     def test_zero_angle_is_identity(self):
-        state = init_plus_state(3)
+        state = np.full(4, 1 / math.sqrt(8), dtype=complex)
         before = state.copy()
-        apply_cost_layer(state, build_cut_spectrum(K3), 0.0)
+        phase_half(state, K3.cut_spectrum[:4], 0.0)
         np.testing.assert_array_equal(state, before)
 
     def test_two_pi_is_identity_on_integer_spectrum(self):
-        state = init_plus_state(3)
+        state = np.full(4, 1 / math.sqrt(8), dtype=complex)
         before = state.copy()
-        apply_cost_layer(state, build_cut_spectrum(K3), 2 * math.pi)
+        phase_half(state, K3.cut_spectrum[:4], 2 * math.pi)
         np.testing.assert_allclose(state, before, atol=1e-12)
 
     def test_p2_quarter_turn(self):
-        state = init_plus_state(2)
-        apply_cost_layer(state, build_cut_spectrum(P2), math.pi / 2)
-        np.testing.assert_allclose(state, [0.5, -0.5j, -0.5j, 0.5], atol=1e-12)
+        # The half of the full-state result [0.5, -0.5j, -0.5j, 0.5].
+        state = np.full(2, 0.5, dtype=complex)
+        phase_half(state, P2.cut_spectrum[:2], math.pi / 2)
+        np.testing.assert_allclose(state, [0.5, -0.5j], atol=1e-12)
 
     def test_preserves_magnitudes_exactly(self):
         rng = np.random.default_rng(8)
         g = generate_er(4, 0.5, seed=2)
-        state = rng.normal(size=16) + 1j * rng.normal(size=16)
+        state = rng.normal(size=8) + 1j * rng.normal(size=8)
         magnitudes = np.abs(state).copy()
-        apply_cost_layer(state, build_cut_spectrum(g), 0.7317)
+        phase_half(state, g.cut_spectrum[:8], 0.7317)
         np.testing.assert_allclose(np.abs(state), magnitudes, rtol=1e-15)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            apply_cost_layer(init_plus_state(2), build_cut_spectrum(K3), 0.1)
 
 
 class TestMixerLayer:
     def test_zero_angle_is_identity(self):
-        state = init_plus_state(3)
+        state = np.full(4, 1 / math.sqrt(8), dtype=complex)
         before = state.copy()
-        apply_mixer_layer(state, 0.0)
+        mix_half(state, 3, 0.0)
         np.testing.assert_allclose(state, before, atol=1e-15)
 
     def test_pi_is_global_phase(self):
-        rng = np.random.default_rng(1)
-        state = rng.normal(size=8) + 1j * rng.normal(size=8)
-        state /= np.linalg.norm(state)
+        state = symmetric_state(3, 1)[:4].copy()
         before = state.copy()
-        apply_mixer_layer(state, math.pi)
+        mix_half(state, 3, math.pi)
         np.testing.assert_allclose(state, (-1) ** 3 * before, atol=1e-12)
 
     def test_single_qubit_rotation(self):
-        state = np.array([1.0, 0.0], dtype=complex)
-        apply_mixer_layer(state, math.pi / 4)
-        np.testing.assert_allclose(
-            state, [math.cos(math.pi / 4), -1j * math.sin(math.pi / 4)], atol=1e-15)
+        # |+> is the only symmetric one-qubit state, an X eigenstate: the
+        # mixer multiplies it by exp(-i*beta).
+        for beta in (math.pi / 4, -1.1, 2.9):
+            state = np.array([1 / math.sqrt(2)], dtype=complex)
+            mix_half(state, 1, beta)
+            np.testing.assert_allclose(state, [np.exp(-1j * beta) / math.sqrt(2)], rtol=0, atol=1e-15)
 
+    # n = 3 folds the layer into one product; n = 8, 12 and 13 chain one to
+    # three groups, ending on either buffer, and then reverse the top qubit.
     @pytest.mark.parametrize("n", [3, 8, 12, 13])
     def test_in_place(self, n):
-        state = random_state(n, n)
-        expected = qubitwise_mixer(state, n, 0.8)
-        assert apply_mixer_layer(state, 0.8) is state
-        np.testing.assert_allclose(state, expected, rtol=0, atol=1e-12)
+        state = symmetric_state(n, n)
+        for beta in (0.8, -1.3):
+            half = state[:1 << (n - 1)].copy()
+            mix_half(half, n, beta)
+            np.testing.assert_allclose(half, qubitwise_mixer(state, n, beta)[:1 << (n - 1)],
+                                       rtol=0, atol=1e-12)
 
 
 class TestExpectation:
@@ -226,12 +256,15 @@ class TestExpectation:
     def test_norm_preserved_through_layers(self):
         rng = np.random.default_rng(15)
         g = generate_er(6, 0.5, seed=21)
-        spectrum = build_cut_spectrum(g)
-        state = init_plus_state(6)
+        # The evaluator's kernels: the phase product into the plan's source, then the mixer.
+        values = g.cut_spectrum[:32]
+        state = np.full(32, 1 / math.sqrt(64), dtype=complex)
+        plan = _statevec.MixerPlan(state, 6, np.empty_like(state))
         for _ in range(12):
-            apply_cost_layer(state, spectrum, float(rng.uniform(-np.pi, np.pi)))
-            apply_mixer_layer(state, float(rng.uniform(-np.pi, np.pi)))
-            assert abs(np.vdot(state, state).real - 1.0) < 1e-10
+            table = np.exp(-1j * float(rng.uniform(-np.pi, np.pi)) * np.arange(values.max() + 1))
+            _statevec.apply_phase_table(state, values, table, plan.scratch, plan.source)
+            _statevec.apply_mixer(state, 6, float(rng.uniform(-np.pi, np.pi)), plan)
+            assert abs(half_norm(state) - 1.0) < 1e-10
 
     @pytest.mark.parametrize("gamma, beta", [([0.3, 0.9], [0.2]), ([0.3], [0.2, 0.5])])
     def test_mismatched_angle_lengths_rejected(self, gamma, beta):
@@ -249,20 +282,10 @@ class TestExpectation:
             assert ev.expectation(params.gamma, params.beta) == qaoa_expectation(g, params)
 
 
-def full_size_state(g, gamma, beta):
-    """The 2^n-amplitude QAOA state from the full-size public layer helpers."""
-    state = init_plus_state(g.n)
-    spectrum = build_cut_spectrum(g)
-    for g_k, b_k in zip(gamma, beta):
-        apply_cost_layer(state, spectrum, g_k)
-        apply_mixer_layer(state, b_k)
-    return state
-
-
 class TestBitFlipSymmetry:
     """ExpectationEvaluator keeps only the amplitudes with qubit n-1 = 0. That
     is exact because the full QAOA state satisfies a(z) = a(~z), which the
-    full-size helpers show here; the half state must agree with them."""
+    dense oracle shows here; the half state must agree with it."""
 
     @staticmethod
     def cases(n):
@@ -274,18 +297,18 @@ class TestBitFlipSymmetry:
     @pytest.mark.parametrize("n", range(1, 11))
     def test_full_state_is_symmetric(self, n):
         for g, gamma, beta in self.cases(n):
-            state = full_size_state(g, gamma, beta)
+            state = dense_state(n, g.edges, gamma, beta)
             np.testing.assert_allclose(state, state[::-1], rtol=0, atol=1e-12)
 
     # n <= FOLD_QUBITS + 1 folds each mixer layer into one product; larger n chain groups.
     @pytest.mark.parametrize("n", range(1, 11))
     def test_evaluator_matches_full_state(self, n):
         for g, gamma, beta in self.cases(n):
-            state = full_size_state(g, gamma, beta)
-            full = float(np.vdot(state, build_cut_spectrum(g) * state).real)
-            value = ExpectationEvaluator(g).expectation(gamma, beta)
-            assert abs(value - full) < 1e-12
+            ev = ExpectationEvaluator(g)
+            value = ev.expectation(gamma, beta)
             assert abs(value - dense_expectation(n, g.edges, gamma, beta)) < 1e-12
+            dense = dense_state(n, g.edges, gamma, beta)
+            np.testing.assert_allclose(ev._layers[len(gamma) - 1], dense[:1 << (n - 1)], rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("n", [1, 2, 5, 10])
     def test_buffers_hold_half_the_amplitudes(self, n):
@@ -294,21 +317,6 @@ class TestBitFlipSymmetry:
         assert len(ev._layers) == 3
         for buf in (*ev._layers, ev._scratch):
             assert buf.shape == (1 << (n - 1),)
-
-    # n = 6 is the largest folded layer, n = 7 the smallest group chain.
-    @pytest.mark.parametrize("n", [1, 2, 4, 5, 6, 7, 9, 13])
-    def test_half_mixer_matches_full_mixer(self, n):
-        rng = np.random.default_rng(600 + n)
-        state = random_state(n, n)
-        state += state[::-1]
-        half = state[:1 << (n - 1)].copy()
-        plan = _statevec.MixerPlan(half, n, np.empty_like(half), half=True)
-        assert plan.fold == (n - 1 <= _statevec.FOLD_QUBITS)
-        for beta in rng.uniform(-np.pi, np.pi, 3):
-            apply_mixer_layer(state, beta)
-            np.copyto(plan.source, half)
-            _statevec.apply_mixer(half, n, beta, plan)
-            np.testing.assert_allclose(half, state[:1 << (n - 1)], rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_folded_mixer_matches_dense_oracle(self, n):
@@ -544,7 +552,7 @@ class TestClosedFormOracle:
 class TestPhaseTable:
     @pytest.mark.parametrize("n", [1, 3, 6, 11])
     def test_matches_fancy_index_bit_for_bit(self, n):
-        values = build_cut_spectrum(generate_er(n, 0.5, seed=n))
+        values = generate_er(n, 0.5, seed=n).cut_spectrum
         table = np.exp(-1j * 0.37 * np.arange(values.max() + 1))
         state = random_state(n, n)
         expected = state * table[values]
@@ -619,19 +627,30 @@ class TestGroupMixerMemo:
 
 
 class TestMixerKernel:
-    """The rotating-layout mixer against two independent references: the
-    dense Kronecker product from one partial group (n < 4) through
-    remainders of 1-3 qubits to three groups, and per-qubit butterflies up
-    to n = 16, beyond the dense matrix, with odd and even group counts."""
+    """Half plans on symmetric states against two independent references,
+    compared on the half: the dense Kronecker product up to n = 9, and
+    per-qubit butterflies beyond the dense matrix up to n = 17. Folded
+    layers run to n = FOLD_QUBITS + 1 = 6; n = 7..17 chain 2 to 4 groups with
+    remainders of 0 to 3 qubits, odd and even group counts, before the
+    top-qubit reversal."""
+
+    @staticmethod
+    def check_half_plan(n, reference, seed, betas):
+        size = 1 << (n - 1)
+        state = symmetric_state(n, seed)
+        half = state[:size].copy()
+        plan = _statevec.MixerPlan(half, n, np.empty_like(half))
+        assert plan.fold == (n - 1 <= _statevec.FOLD_QUBITS)
+        for beta in betas:
+            state = reference(state, beta)
+            np.copyto(plan.source, half)
+            _statevec.apply_mixer(half, n, beta, plan)
+            np.testing.assert_allclose(half, state[:size], rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("n", range(1, 10))
     def test_matches_dense_oracle(self, n):
-        rng = np.random.default_rng(77 + n)
-        state = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
-        for beta in rng.uniform(-np.pi, np.pi, 3):
-            expected = dense_mixer(n, beta) @ state
-            apply_mixer_layer(state, beta)
-            np.testing.assert_allclose(state, expected, rtol=0, atol=1e-12)
+        betas = np.random.default_rng(77 + n).uniform(-np.pi, np.pi, 3)
+        self.check_half_plan(n, lambda state, beta: dense_mixer(n, beta) @ state, 77 + n, betas)
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_qubitwise_oracle_matches_dense(self, n):
@@ -639,66 +658,50 @@ class TestMixerKernel:
         np.testing.assert_allclose(qubitwise_mixer(state, n, 0.9), dense_mixer(n, 0.9) @ state,
                                    rtol=0, atol=1e-12)
 
-    @pytest.mark.parametrize("n", range(10, 17))
+    @pytest.mark.parametrize("n", range(10, 18))
     def test_matches_qubitwise_oracle(self, n):
-        rng = np.random.default_rng(177 + n)
-        state = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
-        for beta in rng.uniform(-np.pi, np.pi, 2):
-            expected = qubitwise_mixer(state, n, beta)
-            apply_mixer_layer(state, beta)
-            np.testing.assert_allclose(state, expected, rtol=0, atol=1e-12)
-
-    # A half plan folds at n = 3 and chains groups plus the top qubit above.
-    @pytest.mark.parametrize("half", [False, True])
-    @pytest.mark.parametrize("n", [3, 8, 12, 13])
-    def test_result_lands_in_callers_array(self, n, half):
-        state = random_state(n, 5 + n)
-        if half:
-            state += state[::-1]
-        expected = qubitwise_mixer(state, n, -1.3)
-        if half:
-            amps, expected = state[:1 << (n - 1)].copy(), expected[:1 << (n - 1)]
-            plan = _statevec.MixerPlan(amps, n, np.empty_like(amps), half=True)
-            np.copyto(plan.source, amps)
-            _statevec.apply_mixer(amps, n, -1.3, plan)
-        else:
-            amps = state
-            apply_mixer_layer(amps, -1.3)
-        np.testing.assert_allclose(amps, expected, rtol=0, atol=1e-12)
+        betas = np.random.default_rng(177 + n).uniform(-np.pi, np.pi, 2)
+        self.check_half_plan(n, lambda state, beta: qubitwise_mixer(state, n, beta), 177 + n, betas)
 
     @pytest.mark.parametrize("make_scratch", [
         lambda buf, size: buf[:size],
         lambda buf, size: buf[size // 2:size // 2 + size],
-        lambda buf, size: buf[:2 * size:2],
+        lambda buf, size: np.empty(2 * size, dtype=complex)[::2],
         lambda buf, size: np.empty(size // 2, dtype=complex),
         lambda buf, size: np.empty(size, dtype=np.complex64),
     ], ids=["same", "overlapping", "strided", "short", "complex64"])
     def test_bad_scratch_rejected(self, make_scratch):
         n = 6
-        buf = random_state(n + 1, 3)
-        state = buf[:1 << n]
+        buf = random_state(n, 3)
+        state = buf[:1 << (n - 1)]
         before = state.copy()
         with pytest.raises(ValueError):
-            _statevec.MixerPlan(state, n, make_scratch(buf, 1 << n))
+            _statevec.MixerPlan(state, n, make_scratch(buf, 1 << (n - 1)))
         np.testing.assert_array_equal(state, before)
 
     def test_plan_for_another_state_rejected(self):
-        state, other = random_state(6, 1), random_state(6, 2)
+        state, other = random_state(5, 1), random_state(5, 2)
         with pytest.raises(ValueError):
             _statevec.apply_mixer(state, 6, 0.5, _statevec.MixerPlan(other, 6, np.empty_like(other)))
         with pytest.raises(ValueError):
             _statevec.apply_mixer(state, 5, 0.5, _statevec.MixerPlan(state, 6, np.empty_like(state)))
 
+    @pytest.mark.parametrize("n", [0, 5, 7])
+    def test_size_other_than_half_rejected(self, n):
+        state = random_state(5, 1)
+        with pytest.raises(ValueError):
+            _statevec.MixerPlan(state, n, np.empty_like(state))
+
     def test_strided_state(self):
         state = random_state(7, 4)[::2]
-        expected = qubitwise_mixer(state, 6, 0.5)
-        apply_mixer_layer(state, 0.5)
-        np.testing.assert_allclose(state, expected, rtol=0, atol=1e-12)
+        with pytest.raises(ValueError):
+            _statevec.MixerPlan(state, 7, np.empty(state.size, dtype=complex))
 
     def test_non_contiguous_2d_state_rejected(self):
-        state = random_state(7, 4).reshape(8, 16)[:, ::2]
-        with pytest.raises(ValueError):
-            apply_mixer_layer(state, 0.5)
+        # Contiguous or not, a 2-D array is not a half state.
+        for state in (random_state(7, 4).reshape(8, 16)[:, ::2], random_state(6, 4).reshape(8, 8)):
+            with pytest.raises(ValueError):
+                _statevec.MixerPlan(state, 7, np.empty_like(state))
 
 
 # derandomize keeps the suite's outcome fixed from run to run; database=None
@@ -730,27 +733,29 @@ class TestDepthOneIdentity:
 
 
 class TestMixerProperties:
+    """On half plans over symmetric states, whose norm is 2 * |half|^2."""
+
     @MIXER_PROPERTY
     @given(n=qubit_counts, seed=seeds, beta=angles)
     def test_preserves_norm(self, n, seed, beta):
-        state = random_state(n, seed)
-        apply_mixer_layer(state, beta)
-        assert abs(np.linalg.norm(state) - 1.0) < 1e-12
+        half = symmetric_state(n, seed)[:1 << (n - 1)].copy()
+        mix_half(half, n, beta)
+        assert abs(half_norm(half) - 1.0) < 1e-12
 
     @MIXER_PROPERTY
     @given(n=qubit_counts, seed=seeds, beta1=angles, beta2=angles)
     def test_angles_add(self, n, seed, beta1, beta2):
-        state = random_state(n, seed)
-        combined = state.copy()
-        apply_mixer_layer(state, beta1)
-        apply_mixer_layer(state, beta2)
-        apply_mixer_layer(combined, beta1 + beta2)
-        np.testing.assert_allclose(state, combined, rtol=0, atol=1e-12)
+        half = symmetric_state(n, seed)[:1 << (n - 1)].copy()
+        combined = half.copy()
+        mix_half(half, n, beta1)
+        mix_half(half, n, beta2)
+        mix_half(combined, n, beta1 + beta2)
+        np.testing.assert_allclose(half, combined, rtol=0, atol=1e-12)
 
     @MIXER_PROPERTY
     @given(n=qubit_counts, seed=seeds)
     def test_zero_angle_is_identity(self, n, seed):
-        state = random_state(n, seed)
-        before = state.copy()
-        apply_mixer_layer(state, 0.0)
-        np.testing.assert_allclose(state, before, rtol=0, atol=1e-15)
+        half = symmetric_state(n, seed)[:1 << (n - 1)].copy()
+        before = half.copy()
+        mix_half(half, n, 0.0)
+        np.testing.assert_allclose(half, before, rtol=0, atol=1e-15)
