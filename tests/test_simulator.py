@@ -330,6 +330,12 @@ class TestBitFlipSymmetry:
             folded = _statevec._folded_mixer(n, math.cos(beta), math.sin(beta))
             np.testing.assert_allclose(folded, expected, rtol=0, atol=1e-13)
 
+    # n = 6 is the largest folded layer, n = 7 the smallest group chain.
+    @pytest.mark.parametrize("n", [1, 2, 4, 5, 6, 7, 9, 13])
+    def test_half_mixer_matches_full_mixer(self, n):
+        betas = np.random.default_rng(600 + n).uniform(-np.pi, np.pi, 3)
+        TestMixerKernel.check_half_plan(n, lambda state, beta: qubitwise_mixer(state, n, beta), n, betas)
+
 
 class TestPrefixReuse:
     """The evaluator resumes from the first layer whose angles differ from
@@ -662,6 +668,24 @@ class TestMixerKernel:
     def test_matches_qubitwise_oracle(self, n):
         betas = np.random.default_rng(177 + n).uniform(-np.pi, np.pi, 2)
         self.check_half_plan(n, lambda state, beta: qubitwise_mixer(state, n, beta), 177 + n, betas)
+
+    # A half plan folds at n = 3 and chains groups plus the top qubit above.
+    # ExpectationEvaluator mixes its layer buffers through one shared
+    # scratch: mixing the second buffer must leave the first one's result.
+    @pytest.mark.parametrize("shared_scratch", [False, True])
+    @pytest.mark.parametrize("n", [3, 8, 12, 13])
+    def test_result_lands_in_callers_array(self, n, shared_scratch):
+        size = 1 << (n - 1)
+        states = [symmetric_state(n, 5 + n), symmetric_state(n, 6 + n)]
+        halves = [state[:size].copy() for state in states]
+        scratch = np.empty_like(halves[0])
+        for state, half, beta in zip(states, halves, (-1.3, 0.6)):
+            plan = _statevec.MixerPlan(half, n, scratch if shared_scratch else np.empty_like(half))
+            np.copyto(plan.source, half)
+            _statevec.apply_mixer(half, n, beta, plan)
+            state[:] = qubitwise_mixer(state, n, beta)
+        for state, half in zip(states, halves):
+            np.testing.assert_allclose(half, state[:size], rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("make_scratch", [
         lambda buf, size: buf[:size],
