@@ -113,7 +113,7 @@ def _swarm_config(args, depths=()) -> SwarmConfig:
 
 def cmd_run_suite(args) -> int:
     out = Path(args.out)
-    if not out.name:
+    if not out.name or out.is_dir():
         raise UsageError(f"--out: {args.out!r} names a directory, not a file")
     sidecar = out.with_suffix(".json")
     if sidecar == out:

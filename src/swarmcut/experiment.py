@@ -22,7 +22,7 @@ import numpy as np
 
 from .graphs import MAX_NODES, Graph, generate_er, generate_ws, max_cut_bruteforce, one_exchange_cut, ws_k_for
 from .optimizer import SwarmConfig, adam_fipso_optimize, approx_ratio, check_int, check_real, random_params
-from .simulator import ExpectationEvaluator, evaluator_for
+from .simulator import ExpectationEvaluator
 
 MODELS = ("ER", "WS")
 
@@ -158,12 +158,8 @@ def _generate_instance(model: str, n: int, cfg: SuiteConfig, graph_seed: int) ->
         seed += 1
 
 
-def random_baseline(g: Graph, p: int, seed: int, params=None, max_cut: int | None = None, *,
-                    evaluator: ExpectationEvaluator | None = None):
-    """One uniform parameter draw and its expectation / approximation ratio.
-
-    evaluator, when given, is an ExpectationEvaluator of g to evaluate on, so
-    that a caller evaluating g again shares its state buffers."""
+def random_baseline(g: Graph, p: int, seed: int, params=None, max_cut: int | None = None):
+    """One uniform parameter draw and its expectation / approximation ratio."""
     if g.edge_count == 0:
         raise ValueError("baseline is undefined for an edgeless graph")
     if params is None:
@@ -174,8 +170,7 @@ def random_baseline(g: Graph, p: int, seed: int, params=None, max_cut: int | Non
         raise ValueError(f"params must have shape ({2 * p},) at depth {p}, got {params.shape}")
     if max_cut is None:
         max_cut = max_cut_bruteforce(g).value
-    ev = evaluator_for(g, evaluator)
-    cut = ev.expectation(params[:p], params[p:])
+    cut = ExpectationEvaluator(g).expectation(params[:p], params[p:])
     return params, cut, approx_ratio(cut, max_cut)
 
 
@@ -196,15 +191,12 @@ def run_instance(model: str, graph_index: int, n: int, p: int, cfg: SuiteConfig)
     classical_seed = derive_seed(cfg.base_seed, model, graph_index, n, "classical")
     classical_cut = one_exchange_cut(g, classical_seed).value
 
-    # One evaluator per cell: prefix reuse is exact, so sharing it leaves
-    # every value bit-identical and allocates the state buffers once.
-    ev = ExpectationEvaluator(g)
     baseline_seed = derive_seed(cfg.base_seed, model, graph_index, n, p, "baseline")
-    rand_theta, rand_cut, rand_ar = random_baseline(g, p, baseline_seed, max_cut=max_cut, evaluator=ev)
+    rand_theta, rand_cut, rand_ar = random_baseline(g, p, baseline_seed, max_cut=max_cut)
 
     swarm_seed = derive_seed(cfg.base_seed, model, graph_index, n, p, "swarm")
     swarm = cfg.swarm.with_seed(swarm_seed)
-    result = adam_fipso_optimize(g, p, float(max_cut), swarm, evaluator=ev)
+    result = adam_fipso_optimize(g, p, float(max_cut), swarm)
     opt_cut = result.best_expectation
     opt_ar = approx_ratio(opt_cut, max_cut)
 

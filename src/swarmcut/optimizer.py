@@ -14,7 +14,6 @@ with a penalty on the approximation-ratio shortfall.
 
 from __future__ import annotations
 
-import json
 import math
 import numbers
 from dataclasses import dataclass, field, fields, replace
@@ -23,7 +22,7 @@ from typing import Callable
 import numpy as np
 
 from .graphs import Graph
-from .simulator import ExpectationEvaluator, evaluator_for
+from .simulator import ExpectationEvaluator
 
 MODES = ("adam_fd", "adam_swarm", "fipso_plain")
 
@@ -85,7 +84,7 @@ class SwarmConfig:
 
     # JSON documents use the bare key "lambda"; the trailing underscore is
     # only a python keyword workaround.
-    _JSON_ALIASES = {"lambda": "lambda_"}
+    _JSON_KEYS = {"lambda_": "lambda"}
 
     def __post_init__(self):
         if self.bounds is not None:
@@ -106,8 +105,12 @@ class SwarmConfig:
             raise ValueError(f"epsilon must be positive, got {self.epsilon}")
         if self.fd_step <= 0:
             raise ValueError(f"fd_step must be positive, got {self.fd_step}")
-        if self.lambda_ < 0:
-            raise ValueError(f"lambda must be non-negative, got {self.lambda_}")
+        # Zero means no social pull, no Adam step or no ratio penalty; a
+        # negative c, eta or lambda would push the swarm up the loss.
+        for name in ("c", "eta", "lambda_"):
+            value = getattr(self, name)
+            if value < 0:
+                raise ValueError(f"{self._JSON_KEYS.get(name, name)} must be non-negative, got {value}")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
 
@@ -125,24 +128,17 @@ class SwarmConfig:
     def from_dict(cls, doc: dict) -> "SwarmConfig":
         if not isinstance(doc, dict):
             raise ValueError(f"swarm config must be a JSON object, got {type(doc).__name__}")
-        names = {f.name for f in fields(cls)}
+        names = {cls._JSON_KEYS.get(f.name, f.name): f.name for f in fields(cls)}
         kwargs = {}
         for key, value in doc.items():
-            name = cls._JSON_ALIASES.get(key, key)
-            if name not in names:
+            if key not in names:
                 raise ValueError(f"unknown swarm config key {key!r}")
-            kwargs[name] = value
+            kwargs[names[key]] = value
         return cls(**kwargs)
-
-    @classmethod
-    def from_json_file(cls, path) -> "SwarmConfig":
-        with open(path, "r", encoding="utf-8") as f:
-            return cls.from_dict(json.load(f))
 
     def to_dict(self) -> dict:
         """The JSON document from_dict reads back; bounds only when set."""
-        keys = {name: key for key, name in self._JSON_ALIASES.items()}
-        return {keys.get(f.name, f.name): getattr(self, f.name)
+        return {self._JSON_KEYS.get(f.name, f.name): getattr(self, f.name)
                 for f in fields(self) if getattr(self, f.name) is not None}
 
     def with_seed(self, seed: int) -> "SwarmConfig":
@@ -314,15 +310,12 @@ def minimize(f: Callable[[np.ndarray], float], bounds, cfg: SwarmConfig) -> Opti
                           best_expectation=None, trace=trace, evaluations=n_evals)
 
 
-def adam_fipso_optimize(g: Graph, p: int, c_target: float, cfg: SwarmConfig, *,
-                        evaluator: ExpectationEvaluator | None = None) -> OptimizeResult:
-    """Optimize the 2p QAOA angles of g against a classical target cut.
-
-    evaluator, when given, is an ExpectationEvaluator of g to evaluate on, so
-    that a caller evaluating g again shares its state buffers."""
+def adam_fipso_optimize(g: Graph, p: int, c_target: float, cfg: SwarmConfig) -> OptimizeResult:
+    """Optimize the 2p QAOA angles of g against a classical target cut. The
+    loss and best_expectation share one ExpectationEvaluator of g, built here."""
     if p < 1:
         raise ValueError(f"depth must be >= 1, got {p}")
-    ev = evaluator_for(g, evaluator)
+    ev = ExpectationEvaluator(g)
     result = minimize(_loss_from_evaluator(ev, p, c_target, cfg.lambda_), cfg.box(p), cfg)
     result.best_expectation = ev.expectation(result.best_position[:p], result.best_position[p:])
     return result

@@ -77,10 +77,13 @@ class ExpectationEvaluator:
     when the buffer is allocated, and a layer's phase product goes where
     that plan reads, so no layer copies its result back. Every result is
     bit-identical to simulating all p layers afresh.
+
+    Every function that evaluates a graph builds the evaluator it uses, and
+    none is passed between functions; adam_fipso_optimize's loss and its
+    best expectation share one.
     """
 
     def __init__(self, g: Graph):
-        self.graph = g
         self.n = g.n
         self.spectrum = g.cut_spectrum
         half = 1 << (g.n - 1)
@@ -136,15 +139,6 @@ class ExpectationEvaluator:
         elif p == 0:
             scratch.fill(self._init_amp)
         return _statevec.expectation_value(layers[p - 1] if p else scratch, self._values)
-
-
-def evaluator_for(g: Graph, evaluator: ExpectationEvaluator | None) -> ExpectationEvaluator:
-    """evaluator, checked to be one of g, or a new one of g when it is None."""
-    if evaluator is None:
-        return ExpectationEvaluator(g)
-    if evaluator.graph is not g:
-        raise ValueError("the evaluator was built for another graph")
-    return evaluator
 
 
 def qaoa_expectation(g: Graph, params: QaoaParams) -> float:

@@ -203,14 +203,17 @@ class TestRunSuite:
 
     def test_out_equal_to_sidecar_is_usage_error(self, tmp_path, capsys, monkeypatch):
         # The sidecar of r.json is --out itself, so it would overwrite the
-        # CSV; "." has an empty name, so it has no sidecar at all.
+        # CSV; "." has an empty name, so it has no sidecar at all; an existing
+        # directory cannot be opened as the CSV.
         monkeypatch.chdir(tmp_path)
-        for out in ("r.json", "."):
+        (tmp_path / "sub").mkdir()
+        for out in ("r.json", ".", "sub"):
             with pytest.raises(SystemExit) as exc:
                 main(["run-suite", *SMALL_SUITE_FLAGS, "--out", out])
             assert exc.value.code == 2
             assert "--out" in capsys.readouterr().err
-            assert list(tmp_path.iterdir()) == []
+            assert list(tmp_path.iterdir()) == [tmp_path / "sub"]
+            assert list((tmp_path / "sub").iterdir()) == []
 
     def test_unknown_flag_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:

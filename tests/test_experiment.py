@@ -65,10 +65,6 @@ class TestRandomBaseline:
         np.testing.assert_array_equal(a[0], b[0])
         assert a[1:] == b[1:]
 
-    def test_evaluator_of_another_graph_rejected(self):
-        with pytest.raises(ValueError):
-            random_baseline(K3, p=1, seed=0, evaluator=ExpectationEvaluator(P2))
-
     def test_edgeless_graph_rejected(self):
         with pytest.raises(ValueError):
             random_baseline(Graph(3, ()), p=1, seed=0)
@@ -124,8 +120,9 @@ class TestRunInstance:
             assert record.classical_cut <= record.max_cut
 
     def test_one_evaluator_per_cell_with_unchanged_record(self, monkeypatch):
-        # The baseline and the swarm share the cell's evaluator. Prefix reuse
-        # is exact, so the record equals one built from separate evaluators.
+        # The baseline and the swarm each build their own evaluator of the
+        # cell's one graph, and the cell builds none; the record equals one
+        # built from the library calls by hand.
         graphs, init = [], ExpectationEvaluator.__init__
 
         def counting_init(self, g):
@@ -135,8 +132,9 @@ class TestRunInstance:
         monkeypatch.setattr(ExpectationEvaluator, "__init__", counting_init)
         record = run_instance("ER", 1, 4, 2, SMALL_SUITE)
         monkeypatch.undo()
-        assert len(graphs) == 1
+        assert len(graphs) == 2
         g = graphs[0]
+        assert graphs[1] is g
         _, rand_cut, rand_ar = random_baseline(g, 2, record.baseline_seed, max_cut=record.max_cut)
         result = adam_fipso_optimize(g, 2, float(record.max_cut), SMALL_SUITE.swarm.with_seed(record.swarm_seed))
         assert (record.rand_cut, record.rand_ar) == (rand_cut, rand_ar)

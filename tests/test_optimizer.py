@@ -380,6 +380,7 @@ class TestSwarmConfig:
         {"eta": "0.05"}, {"c": True}, {"fd_step": math.inf}, {"bounds": [0, math.inf]},
         {"bounds": ["0", "1"]}, {"bounds": []},
         {"eta": 10 ** 400}, {"bounds": [0, 10 ** 400]},
+        {"c": -1.0}, {"eta": -0.05},
     ])
     def test_invalid_configs(self, kwargs):
         with pytest.raises(ValueError):
@@ -395,8 +396,9 @@ class TestSwarmConfig:
         SwarmConfig(swarm_size=np.int64(4), max_iters=np.int32(3), seed=np.uint64(7)).validate()
 
     def test_unknown_key_rejected(self):
-        with pytest.raises(ValueError, match="unknown"):
-            SwarmConfig.from_dict({"swarmsize": 8})
+        for doc in ({"swarmsize": 8}, {"lambda_": 1.0}):
+            with pytest.raises(ValueError, match="unknown"):
+                SwarmConfig.from_dict(doc)
 
     def test_non_object_rejected(self):
         with pytest.raises(ValueError, match="JSON object"):
@@ -422,7 +424,7 @@ class TestSwarmConfig:
     def test_json_file_round_trip(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"eta": 0.1, "mode": "fipso_plain", "lambda": 0.5}))
-        cfg = SwarmConfig.from_json_file(path)
+        cfg = SwarmConfig.from_dict(json.loads(path.read_text()))
         assert cfg.eta == 0.1
         assert cfg.mode == "fipso_plain"
         assert cfg.lambda_ == 0.5
@@ -481,7 +483,7 @@ def _bounds(draw):
 @given(
     swarm_size=st.integers(2, 100), max_iters=st.integers(1, 100),
     w=st.tuples(st.floats(0.0, 2.0), st.floats(0.0, 2.0)).map(sorted),
-    c=_finite, eta=st.floats(1e-6, 1.0),
+    c=st.floats(0.0, 10.0), eta=st.floats(1e-6, 1.0),
     betas=st.tuples(st.floats(0.01, 0.99), st.floats(0.01, 0.99)),
     epsilon=st.floats(1e-12, 1e-3), lambda_=st.floats(0.0, 10.0), fd_step=st.floats(1e-8, 1e-1),
     bounds=_bounds(), mode=st.sampled_from(MODES), seed=st.integers(0, 2 ** 64 - 1),
