@@ -1,4 +1,5 @@
-"""Per-n kernel timings: a p = 3 layer, expectation, gradient and particle step.
+"""Per-n kernel timings: a p = 3 layer, expectation, gradient and particle step,
+and one depth-1 landscape.
 
     python3 benchmarks/kernel_table.py --src new=src --src old=../old/src > table.json
 
@@ -19,7 +20,8 @@ same betas, so from the second call on the mixer's matrices come from its
 memo. A swarm run instead builds new ones for each particle step, which the
 particle step column charges: each call is a gradient at angles no earlier
 call used, then one position evaluation a step of STEP away in every angle,
-13 expectations.
+13 expectations. The landscape is one 64 x 64 landscape_grid over the
+default (-pi, pi) ranges, in ms.
 BLAS keeps its default thread count; OPENBLAS_NUM_THREADS, when set, is
 recorded.
 """
@@ -61,7 +63,7 @@ def measure(n: int) -> dict:
 
     from swarmcut import generate_er, max_cut_bruteforce
     from swarmcut.optimizer import finite_diff_grad, make_objective
-    from swarmcut.simulator import ExpectationEvaluator
+    from swarmcut.simulator import ExpectationEvaluator, landscape_grid
 
     g = generate_er(n, 0.5, 0)
     ev = ExpectationEvaluator(g)
@@ -83,6 +85,7 @@ def measure(n: int) -> dict:
         "eval_p3_us": _median_us(lambda: ev.expectation(*next(angles))),
         "fd_grad_p3_us": _median_us(lambda: finite_diff_grad(loss, theta, FD_STEP)),
         "particle_step_p3_us": _median_us(particle_step),
+        "landscape_ms": _median_us(lambda: landscape_grid(g, resolution=64)) / 1e3,
     }
 
 
@@ -110,7 +113,9 @@ def main(argv=None) -> int:
                                      check=True, capture_output=True, text=True).stdout
                 for key, value in json.loads(out).items():
                     samples.setdefault(key, {}).setdefault(label, []).append(value)
-        row = {"n": n, **{key: {label: round(statistics.median(v), 1) for label, v in by_label.items()}
+        # 0.1 us resolution in every column, ms ones included.
+        row = {"n": n, **{key: {label: round(statistics.median(v), 4 if key.endswith("_ms") else 1)
+                                for label, v in by_label.items()}
                           for key, by_label in samples.items()}}
         rows.append(row)
         print(json.dumps(row), file=sys.stderr)
@@ -127,8 +132,9 @@ def main(argv=None) -> int:
         "what": "us per p = 3 evaluator call that redoes its last layer, per full p = 3 "
                 "expectation, per p = 3 finite-difference gradient (12 expectations) and "
                 "per p = 3 particle step at fresh angles (gradient plus position "
-                f"evaluation), median over {ROUNDS} alternating rounds of the median of "
-                f"{REPEATS} repeats, G(n, 0.5) seed 0",
+                "evaluation), and ms per 64 x 64 depth-1 landscape_grid, median over "
+                f"{ROUNDS} alternating rounds of the median of {REPEATS} repeats, "
+                "G(n, 0.5) seed 0",
         "machine": {"cpu": cpu, "nproc": os.cpu_count(),
                     "python": platform.python_version(), "numpy": np.__version__,
                     "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS")},

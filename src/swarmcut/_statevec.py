@@ -193,9 +193,12 @@ def expectation_value(amps: np.ndarray, values: np.ndarray) -> float:
 
     OpenBLAS splits a dot product of more than about 10,000 elements across
     its threads, so the bits of a longer one depend on the thread count. The
-    sum therefore adds dots of REDUCE_CHUNK elements in index order.
+    sum therefore adds dots of REDUCE_CHUNK elements in index order; a state
+    of one chunk is one dot.
     """
     probs = amps.real ** 2 + amps.imag ** 2
+    if probs.size <= REDUCE_CHUNK:
+        return float(probs @ values)
     total = 0.0
     for i in range(0, probs.size, REDUCE_CHUNK):
         total += float(probs[i:i + REDUCE_CHUNK] @ values[i:i + REDUCE_CHUNK])

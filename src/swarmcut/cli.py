@@ -118,6 +118,8 @@ def cmd_run_suite(args) -> int:
     sidecar = out.with_suffix(".json")
     if sidecar == out:
         raise UsageError(f"--out: {out} is also the path of its .json sidecar; give it another suffix")
+    if sidecar.is_dir():
+        raise UsageError(f"--out: the sidecar path {str(sidecar)!r} of {args.out!r} is a directory")
     swarm = _swarm_config(args)
     lo, hi = args.nodes
     try:

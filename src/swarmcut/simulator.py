@@ -4,14 +4,17 @@ The cost Hamiltonian is diagonal in the computational basis: the eigenvalue
 of basis state z is the cut size of z read as a partition mask, so one layer
 of cost evolution is a per-amplitude phase and one mixer layer is a 2x2 map
 on every qubit. Basis indexing is little-endian, matching graphs.cut_size.
-Every entry point here (qaoa_expectation, landscape_grid) goes through
-ExpectationEvaluator, which simulates the bit-flip-symmetric half state with
-the kernels of _statevec.
+qaoa_expectation goes through ExpectationEvaluator, which simulates the
+bit-flip-symmetric half state with the kernels of _statevec. landscape_grid
+needs no statevector: at depth 1 the expectation has an exact per-edge closed
+form in the vertex degrees and the common neighbours of each edge, so its
+cost does not grow with 2^n and it has no node cap.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -162,20 +165,41 @@ def landscape_grid(g: Graph, gamma_range=LANDSCAPE_DEFAULT_RANGE,
                    resolution: int = LANDSCAPE_DEFAULT_RESOLUTION) -> np.ndarray:
     """Depth-1 expectation on an inclusive resolution x resolution lattice.
 
-    Entry (a, b) is the expectation at (gamma_a, beta_b). At depth 1 the
-    mixer turns each edge's Z_i Z_j into c^2 ZZ + cs (ZY + YZ) + s^2 YY with
-    c = cos 2beta, s = sin 2beta, so for fixed gamma the expectation is
-    exactly A + B cos 4beta + C sin 4beta. Two evaluations per gamma, at
-    beta = +-pi/8, give A +- C; beta = 0 gives A + B = edge_count / 2.
+    Entry (a, b) is the expectation at (gamma_a, beta_b), from the per-edge
+    closed form of Wang, Hadfield, Jiang & Rieffel (arXiv:1706.02339).
+    Summed over the edges it reads
+
+        |E|/2 + 1/4 sin(gamma) S(gamma) sin(4 beta) - 1/4 T(gamma) sin^2(2 beta),
+
+    S(gamma) = sum over vertices v of deg(v) cos^(deg(v)-1)(gamma),
+    T(gamma) = sum over edges uv with f >= 1 common neighbours of
+               cos^(deg(u)+deg(v)-2-2f)(gamma) (1 - cos^f(2 gamma)).
+
+    Each sum is grouped by its distinct exponents, so a lattice row costs a
+    few powers per distinct degree and per distinct (exponent, f) pair, and
+    nothing grows with 2^n.
     """
     gammas, betas = _lattice_axes(gamma_range, beta_range, resolution)
-    ev = ExpectationEvaluator(g)
-    plus = np.array([ev.expectation([g_val], [math.pi / 8]) for g_val in gammas])
-    minus = np.array([ev.expectation([g_val], [-math.pi / 8]) for g_val in gammas])
-    a = (plus + minus) / 2
-    b = g.edge_count / 2 - a
-    c = (plus - minus) / 2
-    return a[:, None] + b[:, None] * np.cos(4 * betas) + c[:, None] * np.sin(4 * betas)
+    neighbours = [set() for _ in range(g.n)]
+    for u, v in g.edges:
+        neighbours[u].add(v)
+        neighbours[v].add(u)
+    degrees = Counter(len(nbrs) for nbrs in neighbours if nbrs)
+    # Edges with common neighbours, counted per (cos exponent, f).
+    t_terms = Counter()
+    for u, v in g.edges:
+        f = len(neighbours[u] & neighbours[v])
+        if f:
+            t_terms[len(neighbours[u]) + len(neighbours[v]) - 2 - 2 * f, f] += 1
+    s_exponents = np.array([d - 1 for d in degrees], dtype=np.float64)
+    s_weights = np.array([d * count for d, count in degrees.items()], dtype=np.float64)
+    t_exponents, t_common = np.array(list(t_terms), dtype=np.float64).reshape(-1, 2).T
+    t_weights = np.array(list(t_terms.values()), dtype=np.float64)
+    cos_g = np.cos(gammas)[:, None]
+    s = (cos_g ** s_exponents) @ s_weights
+    t = (cos_g ** t_exponents * (1 - np.cos(2 * gammas)[:, None] ** t_common)) @ t_weights
+    return (g.edge_count / 2 + 0.25 * (np.sin(gammas) * s)[:, None] * np.sin(4 * betas)
+            - 0.25 * t[:, None] * np.sin(2 * betas) ** 2)
 
 
 def write_landscape_csv(path, g: Graph, gamma_range=LANDSCAPE_DEFAULT_RANGE,

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from swarmcut import Graph, write_graph
+from swarmcut import Graph, generate_er, write_graph
 from swarmcut.cli import main
 
 K3 = Graph(3, ((0, 1), (0, 2), (1, 2)))
@@ -140,6 +140,16 @@ class TestLandscape:
                      "--resolution", "5", "--out", str(out)]) == 0
         assert len(out.read_text().splitlines()) == 1 + 25
 
+    def test_graph_beyond_enumeration_cap(self, graph_file, tmp_path):
+        # The landscape needs no cut spectrum, so the 24-node cap does not apply.
+        g = generate_er(30, 0.3, seed=30)
+        out = tmp_path / "land.csv"
+        assert main(["landscape", graph_file("er30.json", g), "--resolution", "6",
+                     "--out", str(out)]) == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert len(rows) == 36
+        assert all(0 <= float(r[2]) <= g.edge_count for r in rows)
+
     def test_bad_range_syntax_is_usage_error(self, graph_file, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["landscape", graph_file("k3.json", K3),
@@ -204,16 +214,21 @@ class TestRunSuite:
     def test_out_equal_to_sidecar_is_usage_error(self, tmp_path, capsys, monkeypatch):
         # The sidecar of r.json is --out itself, so it would overwrite the
         # CSV; "." has an empty name, so it has no sidecar at all; an existing
-        # directory cannot be opened as the CSV.
+        # directory cannot be opened as the CSV; the sidecar of s.csv is an
+        # existing directory, which must be caught before the sweep, not after.
         monkeypatch.chdir(tmp_path)
-        (tmp_path / "sub").mkdir()
-        for out in ("r.json", ".", "sub"):
+        dirs = [tmp_path / "s.json", tmp_path / "sub"]
+        for d in dirs:
+            d.mkdir()
+        for out in ("r.json", ".", "sub", "s.csv"):
             with pytest.raises(SystemExit) as exc:
                 main(["run-suite", *SMALL_SUITE_FLAGS, "--out", out])
             assert exc.value.code == 2
-            assert "--out" in capsys.readouterr().err
-            assert list(tmp_path.iterdir()) == [tmp_path / "sub"]
-            assert list((tmp_path / "sub").iterdir()) == []
+            err = capsys.readouterr().err
+            assert "--out" in err
+            assert sorted(tmp_path.iterdir()) == dirs
+            assert all(list(d.iterdir()) == [] for d in dirs)
+        assert "s.json" in err
 
     def test_unknown_flag_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:

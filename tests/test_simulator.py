@@ -548,11 +548,30 @@ class TestClosedFormOracle:
 
     @pytest.mark.parametrize("n", [14, 16, 18])
     def test_landscape_beyond_dense_sizes(self, n):
+        # landscape_grid evaluates the same closed form as the oracle, so a
+        # few points are also checked against the statevector engine.
         g = generate_ws(n, 4, 0.3, seed=n)
         gammas, betas = np.linspace(-2.5, 3.0, 5), np.linspace(-1.2, 0.9, 5)
         closed = closed_form_p1_expectation(g.n, g.edges, gammas[:, None], betas[None, :])
         grid = landscape_grid(g, (-2.5, 3.0), (-1.2, 0.9), resolution=5)
         assert np.abs(grid - closed).max() < 1e-12 * g.edge_count
+        ev = ExpectationEvaluator(g)
+        for a, b in ((0, 0), (1, 3), (2, 4), (4, 1)):
+            assert abs(grid[a, b] - ev.expectation([gammas[a]], [betas[b]])) < 1e-12 * g.edge_count
+
+    @pytest.mark.parametrize("n", [30, 40])
+    def test_landscape_beyond_enumeration_cap(self, n):
+        # No statevector: graphs past graphs.MAX_NODES have a landscape too.
+        g = generate_er(n, 0.3, seed=n)
+        gammas, betas = np.linspace(-2.5, 3.0, 7), np.linspace(0.0, 1.4, 7)
+        grid = landscape_grid(g, (-2.5, 3.0), (0.0, 1.4), resolution=7)
+        assert np.isfinite(grid).all()
+        assert (grid >= 0).all() and (grid <= g.edge_count).all()
+        assert (grid[:, 0] == g.edge_count / 2).all()
+        closed = closed_form_p1_expectation(g.n, g.edges, gammas[:, None], betas[None, :])
+        assert np.abs(grid - closed).max() < 1e-12 * g.edge_count
+        ring = Graph(n, tuple((v, (v + 1) % n) for v in range(n)))
+        assert landscape_grid(ring, (math.pi / 4, 1), (math.pi / 8, 1), 2)[0, 0] == 3 * n / 4
 
 
 class TestPhaseTable:
@@ -738,8 +757,8 @@ angles = st.floats(-math.pi, math.pi)
 
 class TestDepthOneIdentity:
     """At depth 1 the expectation is A + B cos 4beta + C sin 4beta for each
-    gamma, with A, B, C read off at beta = 0 and +-pi/8: the identity
-    landscape_grid reconstructs its rows from."""
+    gamma, with A, B, C read off at beta = 0 and +-pi/8: a check of the
+    engine's mixer that needs no oracle."""
 
     @MIXER_PROPERTY
     @given(n=st.integers(1, 10), edge_prob=st.floats(0.05, 1.0), seed=seeds,
