@@ -14,8 +14,12 @@ layer is one p = 3 evaluator call whose beta_3 alternates between two
 values, so every call redoes exactly its last layer on the half state: the
 phase product, the mixer and the reduction. The expectation alternates two
 angle vectors that differ in gamma_1, so every call simulates all three
-layers; the gradient is one central finite-difference gradient of the
-loss, 12 expectations in the optimizer's probe order. All three repeat the
+layers; the gradient is one central finite-difference gradient of
+ExpectationEvaluator.expectation, 12 expectations in the optimizer's probe
+order. The gradient and the particle step time the expectation, not the
+loss built on it, so they leave out the loss arithmetic (about 1 us per
+probe) and call only two functions that every version of the library has.
+The layer, the expectation and the gradient repeat the
 same betas, so from the second call on the mixer's matrices come from its
 memo. A swarm run instead builds new ones for each particle step, which the
 particle step column charges: each call is a gradient at angles no earlier
@@ -61,15 +65,21 @@ def measure(n: int) -> dict:
     """Time the swarmcut on sys.path at one n."""
     import numpy as np
 
-    from swarmcut import generate_er, max_cut_bruteforce
-    from swarmcut.optimizer import finite_diff_grad, make_objective
+    from swarmcut import generate_er
+    from swarmcut.optimizer import finite_diff_grad
     from swarmcut.simulator import ExpectationEvaluator, landscape_grid
 
     g = generate_er(n, 0.5, 0)
     ev = ExpectationEvaluator(g)
     last_layer = itertools.cycle([(GAMMA, BETA), (GAMMA, BETA_ALT)])
     angles = itertools.cycle([(GAMMA, BETA), (GAMMA_ALT, BETA)])
-    loss = make_objective(g, 3, float(max_cut_bruteforce(g).value), 1.0)
+    # The gradient and the particle step probe an evaluator of their own, as
+    # the optimizer's loss does.
+    probe_ev = ExpectationEvaluator(g)
+
+    def expectation(theta):
+        return probe_ev.expectation(theta[:3], theta[3:])
+
     theta = np.array(GAMMA + BETA)
     # Call i starts from theta shifted by i * 1e-9 in every angle: new floats,
     # so every beta misses the mixer's memo, at a distance that changes no timing.
@@ -77,13 +87,13 @@ def measure(n: int) -> dict:
 
     def particle_step():
         at = next(fresh)
-        finite_diff_grad(loss, at, FD_STEP)
-        loss(at - STEP)
+        finite_diff_grad(expectation, at, FD_STEP)
+        expectation(at - STEP)
 
     return {
         "layer_us": _median_us(lambda: ev.expectation(*next(last_layer))),
         "eval_p3_us": _median_us(lambda: ev.expectation(*next(angles))),
-        "fd_grad_p3_us": _median_us(lambda: finite_diff_grad(loss, theta, FD_STEP)),
+        "fd_grad_p3_us": _median_us(lambda: finite_diff_grad(expectation, theta, FD_STEP)),
         "particle_step_p3_us": _median_us(particle_step),
         "landscape_ms": _median_us(lambda: landscape_grid(g, resolution=64)) / 1e3,
     }

@@ -21,8 +21,8 @@ then a reversal, the layer's last step, since
 a(z ^ top) = a(~z ^ top) = half[-1 - z].
 
 Each kernel has one call form, and the caller owns every buffer it passes:
-apply_mixer takes a MixerPlan, apply_phase_table a scratch and an output
-array. The evaluator builds its buffers and plans once.
+apply_mixer takes a MixerPlan, apply_phase_table an output array. The
+evaluator builds its buffers and plans once.
 
 For halves of at most FOLD_QUBITS qubits the whole layer, top qubit
 included, is one product with the 2^m x 2^m matrix U below.
@@ -59,17 +59,18 @@ FOLD_QUBITS = 5
 REDUCE_CHUNK = 1 << 13
 
 
-def apply_phase_table(amps: np.ndarray, values: np.ndarray, table: np.ndarray,
-                      scratch: np.ndarray, out: np.ndarray) -> None:
+def apply_phase_table(amps: np.ndarray, values: np.ndarray, table: np.ndarray, out: np.ndarray) -> None:
     """out[z] = amps[z] * table[values[z]]; out may be amps (in place).
 
-    Every values[z] must index table: the gather runs in "clip" mode, which
-    writes straight into scratch (the default "raise" mode buffers and is
-    slower). scratch is overwritten and must share no memory with amps; it
-    may be out itself, and then the product is formed in place there.
+    A state longer than REDUCE_CHUNK is done chunk by chunk, so the gathered
+    phases never take more than one chunk of memory.
     """
-    phases = table.take(values, None, scratch, "clip")
-    np.multiply(amps, phases, out)
+    if amps.size <= REDUCE_CHUNK:
+        np.multiply(amps, table[values], out)
+        return
+    for i in range(0, amps.size, REDUCE_CHUNK):
+        chunk = slice(i, i + REDUCE_CHUNK)
+        np.multiply(amps[chunk], table[values[chunk]], out[chunk])
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:

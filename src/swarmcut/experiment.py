@@ -59,9 +59,6 @@ class ExperimentRecord:
     flag: str = ""
     config: dict = field(default_factory=dict)
 
-    def sort_key(self):
-        return (self.model, self.graph_index, self.n, self.p)
-
     def to_csv_row(self) -> list:
         return [getattr(self, col) for col in CSV_COLUMNS]
 
@@ -158,18 +155,12 @@ def _generate_instance(model: str, n: int, cfg: SuiteConfig, graph_seed: int) ->
         seed += 1
 
 
-def random_baseline(g: Graph, p: int, seed: int, params=None, max_cut: int | None = None):
-    """One uniform parameter draw and its expectation / approximation ratio."""
+def random_baseline(g: Graph, p: int, seed: int, max_cut: int):
+    """One uniform parameter draw and its expectation / approximation ratio
+    against max_cut."""
     if g.edge_count == 0:
         raise ValueError("baseline is undefined for an edgeless graph")
-    if params is None:
-        rng = np.random.default_rng(seed)
-        params = random_params(p, rng)
-    params = np.asarray(params, dtype=np.float64)
-    if params.shape != (2 * p,):
-        raise ValueError(f"params must have shape ({2 * p},) at depth {p}, got {params.shape}")
-    if max_cut is None:
-        max_cut = max_cut_bruteforce(g).value
+    params = random_params(p, np.random.default_rng(seed))
     cut = ExpectationEvaluator(g).expectation(params[:p], params[p:])
     return params, cut, approx_ratio(cut, max_cut)
 
@@ -324,14 +315,14 @@ def read_records_csv(path) -> list[dict]:
     return rows
 
 
-def aggregate_report(records) -> dict:
-    """Mean improvement percentage per (model, n, p) cell.
+def aggregate_report(rows: list[dict]) -> dict:
+    """Mean improvement percentage per (model, n, p) cell of the rows
+    read_records_csv returns.
 
     Returns {model: {"nodes": [...], "depths": [...], "cells": {(n, p): mean},
     "excluded": {n: count}}}. Flagged records are excluded from the means and
     counted instead.
     """
-    rows = [r.to_json_dict() if isinstance(r, ExperimentRecord) else r for r in records]
     if not rows:
         raise ValueError("no records to aggregate")
     report: dict = {}

@@ -48,7 +48,8 @@ def check_real(name: str, value) -> None:
 
 
 def _bound_pairs(bounds) -> tuple[tuple[float, float], ...]:
-    """A bare (lo, hi) pair or a sequence of them, as a tuple of finite float pairs."""
+    """A bare (lo, hi) pair or a sequence of them, as a tuple of finite float
+    pairs whose width hi - lo is finite too."""
     try:
         pairs = [tuple(bounds)] if all(isinstance(x, numbers.Real) for x in bounds) else [tuple(b) for b in bounds]
     except TypeError:
@@ -60,6 +61,9 @@ def _bound_pairs(bounds) -> tuple[tuple[float, float], ...]:
         check_real("bounds", hi)
         if not lo < hi:
             raise ValueError(f"bounds ({lo}, {hi}) must satisfy lo < hi")
+        # The swarm draws uniformly from [lo, hi), which needs a finite width.
+        if not math.isfinite(float(hi) - float(lo)):
+            raise ValueError(f"bounds ({lo}, {hi}) must have a finite width hi - lo")
     return tuple((float(lo), float(hi)) for lo, hi in pairs)
 
 
@@ -165,16 +169,10 @@ def approx_ratio(c_hat: float, c_target: float) -> float:
     return c_hat / c_target
 
 
-def make_objective(g: Graph, p: int, c_target: float, lambda_: float) -> Callable[[np.ndarray], float]:
-    """Loss over 2p-vectors theta = (gamma_1..p, beta_1..p):
+def make_objective(ev: ExpectationEvaluator, p: int, c_target: float,
+                   lambda_: float) -> Callable[[np.ndarray], float]:
+    """Loss over 2p-vectors theta = (gamma_1..p, beta_1..p) on ev's graph:
     (C_hat - c_target)^2 + lambda * (1 - AR)^2."""
-    return _loss_from_evaluator(ExpectationEvaluator(g), p, c_target, lambda_)
-
-
-def _loss_from_evaluator(ev: ExpectationEvaluator, p: int, c_target: float,
-                         lambda_: float) -> Callable[[np.ndarray], float]:
-    """make_objective's loss on an existing evaluator, so a caller that also
-    needs plain expectations holds one set of state buffers."""
     if c_target < 0:
         raise ValueError(f"target cut must be non-negative, got {c_target}")
 
@@ -184,12 +182,6 @@ def _loss_from_evaluator(ev: ExpectationEvaluator, p: int, c_target: float,
         return (c_hat - c_target) ** 2 + lambda_ * (1.0 - ar) ** 2
 
     return loss
-
-
-def objective(theta, g: Graph, c_target: float, lambda_: float) -> float:
-    """One-shot evaluation of the loss at theta."""
-    theta = np.asarray(theta, dtype=np.float64)
-    return make_objective(g, theta.size // 2, c_target, lambda_)(theta)
 
 
 def finite_diff_grad(f: Callable[[np.ndarray], float], theta, h: float) -> np.ndarray:
@@ -316,6 +308,6 @@ def adam_fipso_optimize(g: Graph, p: int, c_target: float, cfg: SwarmConfig) -> 
     if p < 1:
         raise ValueError(f"depth must be >= 1, got {p}")
     ev = ExpectationEvaluator(g)
-    result = minimize(_loss_from_evaluator(ev, p, c_target, cfg.lambda_), cfg.box(p), cfg)
+    result = minimize(make_objective(ev, p, c_target, cfg.lambda_), cfg.box(p), cfg)
     result.best_expectation = ev.expectation(result.best_position[:p], result.best_position[p:])
     return result

@@ -14,7 +14,7 @@ cost does not grow with 2^n and it has no node cap.
 from __future__ import annotations
 
 import math
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 
 import numpy as np
@@ -110,8 +110,9 @@ class ExpectationEvaluator:
         # Python float copies: the caller may change its arrays after the call.
         gammas, betas = gamma.tolist(), np.asarray(beta, dtype=np.float64).tolist()
         p = len(gammas)
-        if len(betas) != p:
-            raise ValueError(f"gamma and beta must have equal lengths, got {p} and {len(betas)}")
+        if len(betas) != p or p == 0:
+            raise ValueError(f"gamma and beta must be equal-length non-empty vectors, "
+                             f"got {p} and {len(betas)} angles")
         layers, plans, scratch = self._layers, self._plans, self._scratch
         kept_g, kept_b = self._gammas, self._betas
         start, depth = 0, min(p, self._depth)
@@ -136,12 +137,10 @@ class ExpectationEvaluator:
                 # The phase product goes where the layer's mixer reads its
                 # input, so that the mixer's last product lands in layers[k].
                 _statevec.apply_phase_table(layers[max(k - 1, 0)], self._indices, self._tables[k],
-                                            scratch, plans[k].source)
+                                            plans[k].source)
                 _statevec.apply_mixer(layers[k], self.n, betas[k], plans[k])
             self._depth = p
-        elif p == 0:
-            scratch.fill(self._init_amp)
-        return _statevec.expectation_value(layers[p - 1] if p else scratch, self._values)
+        return _statevec.expectation_value(layers[p - 1], self._values)
 
 
 def qaoa_expectation(g: Graph, params: QaoaParams) -> float:
@@ -180,11 +179,15 @@ def landscape_grid(g: Graph, gamma_range=LANDSCAPE_DEFAULT_RANGE,
     nothing grows with 2^n.
     """
     gammas, betas = _lattice_axes(gamma_range, beta_range, resolution)
-    neighbours = [set() for _ in range(g.n)]
+    # Keyed by edge endpoint: isolated vertices add nothing, so the cost
+    # follows |E|, not n.
+    neighbours = defaultdict(set)
     for u, v in g.edges:
         neighbours[u].add(v)
         neighbours[v].add(u)
-    degrees = Counter(len(nbrs) for nbrs in neighbours if nbrs)
+    # Ascending vertex order fixes the order of the distinct degrees, and with
+    # it the order in which S(gamma) adds them.
+    degrees = Counter(len(neighbours[v]) for v in sorted(neighbours))
     # Edges with common neighbours, counted per (cos exponent, f).
     t_terms = Counter()
     for u, v in g.edges:

@@ -270,6 +270,9 @@ class TestRunSuite:
 class TestConfigFile:
     @pytest.mark.parametrize("text", ['{"swarm_size": 2.5}', "[1, 2]", "{not json",
                                       '{"eta": "0.05"}', '{"bounds": [0, Infinity]}',
+                                      # Unchecked, the width hi - lo overflowed in the
+                                      # swarm's first draw: optimize exited 1, run-suite 0.
+                                      '{"bounds": [[-1e308, 1e308]]}',
                                       pytest.param('{"eta": 1%s}' % ("0" * 400), id="eta-400-digits")])
     @pytest.mark.parametrize("command", ["run-suite", "optimize"])
     def test_bad_config_is_usage_error(self, quick_argv, tmp_path, capsys, text, command):

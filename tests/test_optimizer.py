@@ -15,10 +15,10 @@ from swarmcut.optimizer import (
     finite_diff_grad,
     make_objective,
     minimize,
-    objective,
     random_params,
     swarm_influence_grad,
 )
+from swarmcut.simulator import ExpectationEvaluator
 
 P2 = Graph(2, ((0, 1),))
 BOX_2D = [(-math.pi, math.pi), (-math.pi, math.pi)]
@@ -37,27 +37,32 @@ class _OnesRng:
         return np.ones(size) if size is not None else 1.0
 
 
+def p2_loss(c_target, lambda_):
+    """The depth-1 loss of the single edge P2."""
+    return make_objective(ExpectationEvaluator(P2), 1, c_target, lambda_)
+
+
 class TestObjective:
     def test_zero_when_target_met(self):
-        assert objective(OPTIMUM_P2, P2, c_target=1.0, lambda_=3.7) < 1e-12
+        assert p2_loss(c_target=1.0, lambda_=3.7)(np.array(OPTIMUM_P2)) < 1e-12
 
     def test_combines_mse_and_ar_penalty(self):
         # expectation at the P2 optimum is exactly 1: loss = (1-2)^2 + l*(1-0.5)^2
-        assert abs(objective(OPTIMUM_P2, P2, 2.0, 1.0) - 1.25) < 1e-9
-        assert abs(objective(OPTIMUM_P2, P2, 2.0, 0.0) - 1.0) < 1e-9
+        assert abs(p2_loss(2.0, 1.0)(np.array(OPTIMUM_P2)) - 1.25) < 1e-9
+        assert abs(p2_loss(2.0, 0.0)(np.array(OPTIMUM_P2)) - 1.0) < 1e-9
 
     def test_zero_target_uses_zero_ratio(self):
         # AR falls back to 0, so the penalty term is lambda * 1
-        value = objective(OPTIMUM_P2, P2, 0.0, 2.0)
+        value = p2_loss(0.0, 2.0)(np.array(OPTIMUM_P2))
         assert abs(value - (1.0 + 2.0)) < 1e-9
 
     def test_negative_target_rejected(self):
         with pytest.raises(ValueError):
-            objective(OPTIMUM_P2, P2, -1.0, 1.0)
+            p2_loss(-1.0, 1.0)
 
     def test_non_negative_everywhere(self):
         rng = np.random.default_rng(0)
-        loss = make_objective(P2, 1, c_target=1.0, lambda_=1.0)
+        loss = p2_loss(c_target=1.0, lambda_=1.0)
         for _ in range(50):
             assert loss(rng.uniform(-np.pi, np.pi, 2)) >= 0.0
 
@@ -329,7 +334,7 @@ class TestAdamFipsoOptimize:
     def test_best_loss_consistent_with_objective(self):
         cfg = SwarmConfig(swarm_size=6, max_iters=5, seed=2)
         result = adam_fipso_optimize(P2, 1, 1.0, cfg)
-        recomputed = objective(result.best_position, P2, 1.0, cfg.lambda_)
+        recomputed = p2_loss(1.0, cfg.lambda_)(result.best_position)
         assert abs(result.best_loss - recomputed) < 1e-12
 
     def test_deterministic_per_seed(self):
@@ -381,6 +386,9 @@ class TestSwarmConfig:
         {"bounds": ["0", "1"]}, {"bounds": []},
         {"eta": 10 ** 400}, {"bounds": [0, 10 ** 400]},
         {"c": -1.0}, {"eta": -0.05},
+        # Finite bounds whose width hi - lo overflows: unchecked, the swarm's
+        # first uniform draw raised OverflowError inside NumPy.
+        {"bounds": [-1e308, 1e308]}, {"bounds": [(0, 1), (-1e308, 1e308)]},
     ])
     def test_invalid_configs(self, kwargs):
         with pytest.raises(ValueError):

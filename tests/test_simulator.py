@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -47,7 +48,7 @@ def mix_half(half, n, beta):
 def phase_half(half, values, gamma):
     """exp(-i*gamma*values) on half, in place, through apply_phase_table."""
     table = np.exp(-1j * gamma * np.arange(values.max(initial=0) + 1))
-    _statevec.apply_phase_table(half, values, table, np.empty_like(half), half)
+    _statevec.apply_phase_table(half, values, table, half)
 
 
 def half_norm(half):
@@ -106,13 +107,15 @@ class TestCutSpectrum:
 
 class TestInitPlusState:
     """The evaluator starts from |+>^n: every amplitude of the half state is
-    2^(-n/2). A depth-0 call leaves that state in its scratch buffer."""
+    2^(-n/2). At zero angles a layer is exactly the identity (its phase table
+    is 1 and its mixer matrices hold only 1 and 0), so a depth-1 call leaves
+    that state in its first layer."""
 
     @staticmethod
     def initial_half(n):
         ev = ExpectationEvaluator(Graph(n, ()))
-        assert ev.expectation([], []) == 0.0
-        return ev._scratch
+        assert ev.expectation([0.0], [0.0]) == 0.0
+        return ev._layers[0]
 
     def test_single_qubit(self):
         np.testing.assert_allclose(self.initial_half(1), [1 / math.sqrt(2)])
@@ -126,6 +129,11 @@ class TestInitPlusState:
     def test_capacity(self):
         with pytest.raises(CapacityError):
             ExpectationEvaluator(Graph(25, ()))
+
+    def test_empty_angles_rejected(self):
+        # As in QaoaParams: a circuit has at least one layer.
+        with pytest.raises(ValueError, match="non-empty"):
+            ExpectationEvaluator(K3).expectation([], [])
 
 
 class TestCostLayer:
@@ -262,7 +270,7 @@ class TestExpectation:
         plan = _statevec.MixerPlan(state, 6, np.empty_like(state))
         for _ in range(12):
             table = np.exp(-1j * float(rng.uniform(-np.pi, np.pi)) * np.arange(values.max() + 1))
-            _statevec.apply_phase_table(state, values, table, plan.scratch, plan.source)
+            _statevec.apply_phase_table(state, values, table, plan.source)
             _statevec.apply_mixer(state, 6, float(rng.uniform(-np.pi, np.pi)), plan)
             assert abs(half_norm(state) - 1.0) < 1e-10
 
@@ -371,7 +379,13 @@ class TestPrefixReuse:
             if d < 8:
                 theta[d] = rng.uniform(-np.pi, np.pi)
             gamma, beta = theta[:p].copy(), theta[4:4 + p].copy()
-            assert ev.expectation(gamma, beta) == self.fresh(g, gamma, beta)
+            if p == 0:
+                # A circuit has at least one layer; the refused call keeps
+                # the layers for the calls after it.
+                with pytest.raises(ValueError):
+                    ev.expectation(gamma, beta)
+            else:
+                assert ev.expectation(gamma, beta) == self.fresh(g, gamma, beta)
 
     def test_repeated_identical_calls(self):
         g = generate_er(7, 0.5, seed=4)
@@ -425,7 +439,7 @@ class TestPrefixReuse:
         rng = np.random.default_rng(p)
         # n = 6 folds each mixer layer into one product; n = 9 chains groups.
         for n in (6, 9):
-            loss = make_objective(generate_er(n, 0.5, seed=1), p, 5.0, 1.0)
+            loss = make_objective(ExpectationEvaluator(generate_er(n, 0.5, seed=1)), p, 5.0, 1.0)
             # As in the optimizer: a position evaluation, then the gradient at another point.
             loss(rng.uniform(-np.pi, np.pi, 2 * p))
             calls.clear()
@@ -434,6 +448,23 @@ class TestPrefixReuse:
 
 
 class TestLandscape:
+    SPARSE_EDGES = ((0, 1), (1, 2))
+
+    def test_isolated_vertices_cost_no_memory(self):
+        # One neighbour set per vertex took 22 MB at n = 10^5.
+        g = Graph(10 ** 5, self.SPARSE_EDGES)
+        tracemalloc.start()
+        try:
+            landscape_grid(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_grid_independent_of_isolated_vertices(self):
+        np.testing.assert_array_equal(landscape_grid(Graph(10 ** 12, self.SPARSE_EDGES)),
+                                      landscape_grid(Graph(3, self.SPARSE_EDGES)))
+
     def test_grid_point_at_origin(self):
         grid = landscape_grid(K3, (-1.0, 1.0), (-1.0, 1.0), resolution=3)
         assert abs(grid[1, 1] - K3.edge_count / 2) < 1e-12
@@ -575,19 +606,33 @@ class TestClosedFormOracle:
 
 
 class TestPhaseTable:
-    @pytest.mark.parametrize("n", [1, 3, 6, 11])
+    # The 2^n-entry states of n = 15, 16 span 4 and 8 chunks of REDUCE_CHUNK.
+    @pytest.mark.parametrize("n", [1, 3, 6, 11, 15, 16])
     def test_matches_fancy_index_bit_for_bit(self, n):
         values = generate_er(n, 0.5, seed=n).cut_spectrum
         table = np.exp(-1j * 0.37 * np.arange(values.max() + 1))
         state = random_state(n, n)
-        expected = state * table[values]
-        out, scratch = np.empty_like(state), np.empty_like(state)
+        # A named gather: state * table[values] on a temporary of more than
+        # 256 KiB lets NumPy reuse it as table[values] * state, and complex
+        # products do not commute bit for bit.
+        phases = table[values]
+        expected = state * phases
+        out = np.empty_like(state)
         before = state.copy()
-        _statevec.apply_phase_table(state, values, table, scratch, out)
+        _statevec.apply_phase_table(state, values, table, out)
         np.testing.assert_array_equal(out, expected)
         np.testing.assert_array_equal(state, before)
-        _statevec.apply_phase_table(state, values, table, scratch, state)
+        _statevec.apply_phase_table(state, values, table, state)
         np.testing.assert_array_equal(state, expected)
+
+    def test_out_of_range_value_raises(self):
+        # The gather indexes the table plainly: no value is silently clipped.
+        for size in (8, 3 * _statevec.REDUCE_CHUNK):
+            values = np.zeros(size, dtype=np.int64)
+            values[-1] = 4
+            state = np.ones(size, dtype=complex)
+            with pytest.raises(IndexError):
+                _statevec.apply_phase_table(state, values, np.ones(4, dtype=complex), state)
 
 
 # Prints, for each (n, points) read from stdin, the evaluator's values at
