@@ -27,7 +27,7 @@ evaluator builds its buffers and plans once.
 For halves of at most FOLD_QUBITS qubits the whole layer, top qubit
 included, is one product with the 2^m x 2^m matrix U below.
 Write c = cos(beta), s = -i*sin(beta) and h(a, b) = popcount(a XOR b); the
-n-qubit mixer has entries c^(n-h) s^h. For a < 2^m,
+n-qubit mixer has entries w[h(a, b)], w[h] = c^(n-h) s^h. For a < 2^m,
 
     half'[a] = sum_b c^(n-h(a,b)) s^h(a,b) half[b]
              + sum_b c^(n-h(a,b')) s^h(a,b') a(b'),  b' = b | 2^m,
@@ -36,7 +36,7 @@ over b < 2^m. Since a(b') = a(~b') = half[b ^ (2^m - 1)], substituting
 b -> b ^ (2^m - 1) turns the second sum's flip count into
 h(a, b ^ (2^m - 1)) + 1 = (m - h(a, b)) + 1 = n - h(a, b). So
 
-    U[a, b] = u[h(a, b)],  u[h] = c^(n-h) s^h + c^h s^(n-h),
+    U[a, b] = u[h(a, b)],  u[h] = w[h] + w[n-h],
 
 symmetric like every group matrix. A 2^m x 2^m matrix costs 4^m complex
 products per layer and a fresh build per new beta, so folding pays only
@@ -90,20 +90,11 @@ def _flips(k: int) -> np.ndarray:
     return _read_only(flips)
 
 
-def _group_mixer(k: int, cos_b: float, sin_b: float) -> np.ndarray:
-    """exp(-i*beta*X) on each of k qubits: entry (a, b) is
-    cos(beta)^(k-h) * (-i*sin(beta))^h with h = popcount(a XOR b)."""
-    weights = [cos_b ** (k - h) * (-1j * sin_b) ** h for h in range(k + 1)]
-    return np.array(weights)[_flips(k)]
-
-
-def _folded_mixer(n: int, cos_b: float, sin_b: float) -> np.ndarray:
-    """exp(-i*beta*X) on all n qubits of a bit-flip-symmetric state, acting on
-    its top-qubit-0 half: entry (a, b) is u[popcount(a XOR b)] with
-    u[h] = c^(n-h) s^h + c^h s^(n-h), c = cos(beta), s = -i*sin(beta)."""
-    s = -1j * sin_b
-    weights = [cos_b ** (n - h) * s ** h + cos_b ** h * s ** (n - h) for h in range(n)]
-    return np.array(weights)[_flips(n - 1)]
+def _mixer_weights(k: int, beta: float) -> list[complex]:
+    """w[h] = cos(beta)^(k-h) * (-i*sin(beta))^h for h = 0..k: the entry of
+    exp(-i*beta*X) on k qubits between two indices h of whose bits differ."""
+    cos_b, s = math.cos(beta), -1j * math.sin(beta)
+    return [cos_b ** (k - h) * s ** h for h in range(k + 1)]
 
 
 def _groups(qubits: int) -> list[int]:
@@ -113,19 +104,18 @@ def _groups(qubits: int) -> list[int]:
 
 
 # One entry holds a layer's matrices. A p = 3 finite-difference gradient uses
-# 9 distinct betas, and an evaluator uses one (qubits, fold) pair.
+# 9 distinct betas, and an evaluator uses one qubit count.
 @functools.lru_cache(maxsize=32)
-def _layer_matrices(qubits: int, fold: bool, beta: float) -> tuple[np.ndarray, ...]:
-    """The matrices of one mixer layer, in product order: with fold, the one
-    folded matrix of the half of a symmetric (qubits + 1)-qubit state;
-    without, one matrix per group of _groups(qubits). Memoised, so every
-    matrix is read-only."""
-    cos_b, sin_b = math.cos(beta), math.sin(beta)
-    if fold:
-        return _read_only(_folded_mixer(qubits + 1, cos_b, sin_b)),
-    groups = _groups(qubits)
-    built = {k: _read_only(_group_mixer(k, cos_b, sin_b)) for k in set(groups)}
-    return tuple(built[k] for k in groups)
+def _layer_matrices(qubits: int, beta: float) -> tuple[np.ndarray, ...]:
+    """The matrices of one mixer layer on a half state of qubits qubits, in
+    product order, each gathered from _mixer_weights: up to FOLD_QUBITS the
+    folded U, above the k-qubit matrix of each group k of _groups(qubits).
+    Memoised, so every matrix is read-only."""
+    if qubits <= FOLD_QUBITS:
+        w = _mixer_weights(qubits + 1, beta)
+        return _read_only(np.array([w[h] + w[-1 - h] for h in range(qubits + 1)])[_flips(qubits)]),
+    built = {k: _read_only(np.array(_mixer_weights(k, beta))[_flips(k)]) for k in set(_groups(qubits))}
+    return tuple(built[k] for k in _groups(qubits))
 
 
 class MixerPlan:
@@ -134,25 +124,25 @@ class MixerPlan:
     neither the buffer checks nor the reshapes again.
 
     amps is the contiguous 1-D array of the 2^(n-1) amplitudes with qubit
-    n-1 at 0 of a bit-flip-symmetric n-qubit state. scratch is a contiguous
-    1-D array of the same shape and dtype that shares no memory with amps;
-    apply_mixer overwrites it. source is the array a layer reads its input
-    from: amps itself, or scratch when the layer takes an odd number of
-    products, so that the last product lands in amps.
+    n-1 at 0 of a bit-flip-symmetric n-qubit state, which fixes n. scratch is
+    a contiguous 1-D array of the same shape and dtype that shares no memory
+    with amps; apply_mixer overwrites it. source is the array a layer reads
+    its input from: amps itself, or scratch when the layer takes an odd
+    number of products, so that the last product lands in amps.
     """
 
     __slots__ = ("amps", "n", "scratch", "source", "steps", "qubits", "fold")
 
-    def __init__(self, amps: np.ndarray, n: int, scratch: np.ndarray):
+    def __init__(self, amps: np.ndarray, scratch: np.ndarray):
         if not (amps.ndim == 1 and amps.flags.c_contiguous):
             raise ValueError("a half state must be a contiguous 1-D array")
         if (scratch.shape != amps.shape or scratch.dtype != amps.dtype
                 or not scratch.flags.c_contiguous or np.may_share_memory(amps, scratch)):
             raise ValueError("scratch must be a separate contiguous array of the state's shape and dtype")
-        qubits = n - 1
+        qubits = amps.size.bit_length() - 1
         if qubits < 0 or amps.size != 1 << qubits:
-            raise ValueError(f"a half state of {n} qubits cannot have {amps.size} amplitudes")
-        self.amps, self.n, self.scratch, self.qubits = amps, n, scratch, qubits
+            raise ValueError(f"a half state has 2^m amplitudes, not {amps.size}")
+        self.amps, self.n, self.scratch, self.qubits = amps, qubits + 1, scratch, qubits
         self.fold = qubits <= FOLD_QUBITS
         if self.fold:
             # One matrix-vector product, from scratch into amps.
@@ -169,12 +159,12 @@ def apply_mixer(amps: np.ndarray, n: int, beta: float, plan: MixerPlan) -> None:
     """Apply exp(-i*beta*X) to every qubit of the n-qubit symmetric state
     whose half is amps; the result lands in amps.
 
-    plan must be built for this amps and n. The layer reads its input from
-    plan.source, which the caller has filled, and overwrites plan.scratch.
+    plan must be built for this amps, which fixes n. The layer reads its input
+    from plan.source, which the caller has filled, and overwrites plan.scratch.
     """
     if plan.amps is not amps or plan.n != n:
         raise ValueError("the mixer plan was built for another state")
-    matrices = _layer_matrices(plan.qubits, plan.fold, beta)
+    matrices = _layer_matrices(plan.qubits, beta)
     if plan.fold:
         # np.dot's matrix-vector path costs half of matmul's at these sizes.
         np.dot(matrices[0], plan.scratch, out=amps)

@@ -89,6 +89,14 @@ class UsageError(Exception):
     """A bad setting argparse does not see (config file, environment, flag values): exit 2."""
 
 
+def _output_path(flag: str, text: str) -> Path:
+    """The file a flag names to write; a directory or an empty path is a usage error."""
+    path = Path(text)
+    if not path.name or text.endswith(os.sep) or path.is_dir():
+        raise UsageError(f"{flag}: {text!r} names a directory, not a file")
+    return path
+
+
 def _swarm_config(args, depths=()) -> SwarmConfig:
     """--config's swarm settings, its bounds checked at each of depths. The seed
     is --seed, else the file's "seed", else QAOA_FIPSO_SEED, else DEFAULT_SEED."""
@@ -112,14 +120,11 @@ def _swarm_config(args, depths=()) -> SwarmConfig:
 
 
 def cmd_run_suite(args) -> int:
-    out = Path(args.out)
-    if not out.name or out.is_dir():
-        raise UsageError(f"--out: {args.out!r} names a directory, not a file")
+    out = _output_path("--out", args.out)
     sidecar = out.with_suffix(".json")
     if sidecar == out:
         raise UsageError(f"--out: {out} is also the path of its .json sidecar; give it another suffix")
-    if sidecar.is_dir():
-        raise UsageError(f"--out: the sidecar path {str(sidecar)!r} of {args.out!r} is a directory")
+    _output_path("--out", str(sidecar))
     swarm = _swarm_config(args)
     lo, hi = args.nodes
     try:
@@ -171,6 +176,7 @@ def cmd_maxcut(args) -> int:
 
 
 def cmd_landscape(args) -> int:
+    _output_path("--out", args.out)
     g = read_graph(args.graph)
     write_landscape_csv(args.out, g, gamma_range=args.gamma_range,
                         beta_range=args.beta_range, resolution=args.resolution)
@@ -179,11 +185,12 @@ def cmd_landscape(args) -> int:
 
 
 def cmd_report(args) -> int:
+    csv_out = None if args.csv_out is None else _output_path("--csv-out", args.csv_out)
     rows = read_records_csv(args.results)
     report = aggregate_report(rows)
     sys.stdout.write(render_report_text(report))
-    if args.csv_out:
-        write_report_csv(args.csv_out, report)
+    if csv_out is not None:
+        write_report_csv(csv_out, report)
     return 0
 
 

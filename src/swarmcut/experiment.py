@@ -291,9 +291,9 @@ def write_records_json(path, records) -> None:
         f.write("\n")
 
 
-_INT_COLUMNS = {"graph_index", "n", "p", "max_cut", "classical_cut",
-                "graph_seed", "baseline_seed", "swarm_seed"}
-_FLOAT_COLUMNS = {"rand_cut", "rand_ar", "opt_cut", "opt_ar", "opt_loss", "improvement_pct"}
+_COLUMN_TYPES = {"graph_index": int, "n": int, "p": int, "max_cut": int, "classical_cut": int,
+                 "rand_cut": float, "rand_ar": float, "opt_cut": float, "opt_ar": float, "opt_loss": float,
+                 "improvement_pct": float, "graph_seed": int, "baseline_seed": int, "swarm_seed": int}
 
 
 def read_records_csv(path) -> list[dict]:
@@ -306,12 +306,13 @@ def read_records_csv(path) -> list[dict]:
             raise ValueError(f"results CSV is missing column(s): {', '.join(missing)}")
         rows = []
         for row in reader:
-            parsed = dict(row)
-            for col in _INT_COLUMNS:
-                parsed[col] = int(row[col])
-            for col in _FLOAT_COLUMNS:
-                parsed[col] = float(row[col])
-            rows.append(parsed)
+            for col, cast in _COLUMN_TYPES.items():
+                try:
+                    row[col] = cast(row[col])
+                except (TypeError, ValueError):  # TypeError: a short row's missing value is None
+                    raise ValueError(f"{path}: line {reader.line_num}, column {col}: "
+                                     f"cannot read {row[col]!r} as {cast.__name__}") from None
+            rows.append(row)
     return rows
 
 

@@ -169,14 +169,15 @@ def approx_ratio(c_hat: float, c_target: float) -> float:
     return c_hat / c_target
 
 
-def make_objective(ev: ExpectationEvaluator, p: int, c_target: float,
+def make_objective(ev: ExpectationEvaluator, c_target: float,
                    lambda_: float) -> Callable[[np.ndarray], float]:
     """Loss over 2p-vectors theta = (gamma_1..p, beta_1..p) on ev's graph:
-    (C_hat - c_target)^2 + lambda * (1 - AR)^2."""
+    (C_hat - c_target)^2 + lambda * (1 - AR)^2. The depth p is len(theta) // 2."""
     if c_target < 0:
         raise ValueError(f"target cut must be non-negative, got {c_target}")
 
     def loss(theta: np.ndarray) -> float:
+        p = len(theta) // 2
         c_hat = ev.expectation(theta[:p], theta[p:])
         ar = approx_ratio(c_hat, c_target)
         return (c_hat - c_target) ** 2 + lambda_ * (1.0 - ar) ** 2
@@ -308,6 +309,6 @@ def adam_fipso_optimize(g: Graph, p: int, c_target: float, cfg: SwarmConfig) -> 
     if p < 1:
         raise ValueError(f"depth must be >= 1, got {p}")
     ev = ExpectationEvaluator(g)
-    result = minimize(make_objective(ev, p, c_target, cfg.lambda_), cfg.box(p), cfg)
+    result = minimize(make_objective(ev, c_target, cfg.lambda_), cfg.box(p), cfg)
     result.best_expectation = ev.expectation(result.best_position[:p], result.best_position[p:])
     return result

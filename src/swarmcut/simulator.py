@@ -124,7 +124,7 @@ class ExpectationEvaluator:
             self._depth = start
             while len(layers) < p:
                 layers.append(np.empty_like(scratch))
-                plans.append(_statevec.MixerPlan(layers[-1], self.n, scratch))
+                plans.append(_statevec.MixerPlan(layers[-1], scratch))
             if gammas != kept_g:
                 # exp(-i*gamma_k*c) for every layer k and cut size c; probes of
                 # a beta keep the gammas of the call before them.

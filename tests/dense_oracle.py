@@ -95,6 +95,51 @@ def closed_form_p1_expectation(n, edges, gamma, beta):
     return total
 
 
+LIGHTCONE_MAX_QUBITS = 18
+
+
+def lightcone_expectation(n, edges, gammas, betas):
+    """Depth-p expectation as the sum over edges uv of (1 - <Z_u Z_v>)/2, each
+    term simulated on the ball of the vertices within distance p of {u, v}
+    (Farhi, Goldstone & Gutmann, arXiv:1411.4028). In the Heisenberg picture
+    the k-th phase layer from the end touches only edges with an endpoint
+    within distance k - 1, so the subgraph the ball induces is exact: an edge
+    between two vertices at distance p commutes with Z_u Z_v through every
+    layer. Each ball is a full statevector of its own, a diagonal phase and
+    qubitwise_mixer per layer; a ball of more than LIGHTCONE_MAX_QUBITS
+    qubits raises ValueError before any simulation."""
+    p = len(gammas)
+    nbrs = [set() for _ in range(n)]
+    for u, v in edges:
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+    balls = []
+    for u, v in edges:
+        ball, frontier = {u, v}, {u, v}
+        for _ in range(p):
+            frontier = set().union(*(nbrs[w] for w in frontier)) - ball
+            ball |= frontier
+        if len(ball) > LIGHTCONE_MAX_QUBITS:
+            raise ValueError(f"the depth-{p} ball of edge ({u}, {v}) has {len(ball)} qubits, "
+                             f"over {LIGHTCONE_MAX_QUBITS}")
+        balls.append(sorted(ball))
+    total = 0.0
+    for (u, v), ball in zip(edges, balls):
+        k = len(ball)
+        local = {w: i for i, w in enumerate(ball)}
+        bits = (np.arange(1 << k)[:, None] >> np.arange(k)) & 1
+        values = np.zeros(1 << k)
+        for a, b in edges:
+            if a in local and b in local:
+                values += bits[:, local[a]] != bits[:, local[b]]
+        psi = np.full(1 << k, 1 / np.sqrt(1 << k), dtype=complex)
+        for gamma, beta in zip(gammas, betas):
+            psi = qubitwise_mixer(np.exp(-1j * gamma * values) * psi, k, beta)
+        differ = bits[:, local[u]] != bits[:, local[v]]
+        total += float(np.sum(np.abs(psi[differ]) ** 2))
+    return total
+
+
 def dense_expectation_gradient(n, edges, theta):
     """Analytic gradient of the expectation over theta = (gammas, betas),
     via the product rule on the dense layer unitaries."""

@@ -169,7 +169,7 @@ def test_criterion_9_invariant_suite(reduced_suite_records):
         g = generate_er(n, 0.5, seed=int(rng.integers(1 << 30)))
         values = g.cut_spectrum[:1 << (n - 1)]
         state = np.full(1 << (n - 1), 1 / math.sqrt(1 << n), dtype=complex)
-        plan = _statevec.MixerPlan(state, n, np.empty_like(state))
+        plan = _statevec.MixerPlan(state, np.empty_like(state))
         for _ in range(6):
             table = np.exp(-1j * float(rng.uniform(-np.pi, np.pi)) * np.arange(values.max() + 1))
             _statevec.apply_phase_table(state, values, table, plan.source)

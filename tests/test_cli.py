@@ -150,6 +150,18 @@ class TestLandscape:
         assert len(rows) == 36
         assert all(0 <= float(r[2]) <= g.edge_count for r in rows)
 
+    @pytest.mark.parametrize("out", ["", ".", "sub", "sub/", "new/"])
+    def test_out_naming_a_directory_is_usage_error(self, tmp_path, capsys, monkeypatch, out):
+        # The graph file does not exist: the flag is checked before any work.
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sub").mkdir()
+        with pytest.raises(SystemExit) as exc:
+            main(["landscape", str(tmp_path / "missing.json"), "--out", out])
+        assert exc.value.code == 2
+        assert "--out" in capsys.readouterr().err
+        assert sorted(tmp_path.iterdir()) == [tmp_path / "sub"]
+        assert list((tmp_path / "sub").iterdir()) == []
+
     def test_bad_range_syntax_is_usage_error(self, graph_file, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["landscape", graph_file("k3.json", K3),
@@ -213,14 +225,15 @@ class TestRunSuite:
 
     def test_out_equal_to_sidecar_is_usage_error(self, tmp_path, capsys, monkeypatch):
         # The sidecar of r.json is --out itself, so it would overwrite the
-        # CSV; "." has an empty name, so it has no sidecar at all; an existing
-        # directory cannot be opened as the CSV; the sidecar of s.csv is an
-        # existing directory, which must be caught before the sweep, not after.
+        # CSV; "." and "" have an empty name, so they have no sidecar at all;
+        # an existing directory, or a path ending in a separator, cannot be
+        # opened as the CSV; the sidecar of s.csv is an existing directory,
+        # which must be caught before the sweep, not after.
         monkeypatch.chdir(tmp_path)
         dirs = [tmp_path / "s.json", tmp_path / "sub"]
         for d in dirs:
             d.mkdir()
-        for out in ("r.json", ".", "sub", "s.csv"):
+        for out in ("r.json", ".", "", "sub", "sub/", "new/", "s.csv"):
             with pytest.raises(SystemExit) as exc:
                 main(["run-suite", *SMALL_SUITE_FLAGS, "--out", out])
             assert exc.value.code == 2
@@ -362,6 +375,29 @@ class TestReport:
         lines = report_csv.read_text().splitlines()
         assert lines[0] == "model,node,p=1,excluded"
         assert len(lines) == 3
+
+    @pytest.mark.parametrize("csv_out", ["", ".", "sub", "sub/", "new/"])
+    def test_csv_out_naming_a_directory_is_usage_error(self, tmp_path, capsys, monkeypatch, csv_out):
+        # The results file does not exist: the flag is checked before any work.
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sub").mkdir()
+        with pytest.raises(SystemExit) as exc:
+            main(["report", "missing.csv", "--csv-out", csv_out])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert "--csv-out" in captured.err
+        assert captured.out == ""
+        assert sorted(tmp_path.iterdir()) == [tmp_path / "sub"]
+        assert list((tmp_path / "sub").iterdir()) == []
+
+    def test_unparsable_value_names_line_and_column(self, tmp_path, capsys):
+        path = tmp_path / "hand.csv"
+        header = ("model,graph_index,n,p,max_cut,classical_cut,rand_cut,rand_ar,"
+                  "opt_cut,opt_ar,opt_loss,improvement_pct,graph_seed,"
+                  "baseline_seed,swarm_seed,flag")
+        path.write_text(header + "\nER,x,3,1,2,2,1.0,0.5,1.9,0.95,0.01,10.0,1,2,3,\n")
+        assert main(["report", str(path)]) == 1
+        assert "line 2, column graph_index: cannot read 'x' as int" in capsys.readouterr().err
 
     def test_missing_column_exits_one(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"

@@ -322,6 +322,19 @@ class TestPersistence:
         with pytest.raises(ValueError, match="improvement_pct"):
             read_records_csv(path)
 
+    @pytest.mark.parametrize("row, where", [
+        ("ER,x,3,1,2,2,1.0,0.5,1.9,0.95,0.01,10.0,1,2,3,", "line 3, column graph_index: cannot read 'x' as int"),
+        ("ER,1,3,1,2,2,1.0,0.5,1.9,half,0.01,10.0,1,2,3,", "line 3, column opt_ar: cannot read 'half' as float"),
+        ("ER,1,3,1,2,2,1.0,0.5", "line 3, column opt_cut: cannot read None as float"),
+    ], ids=["int", "float", "short-row"])
+    def test_bad_value_names_line_and_column(self, tmp_path, row, where):
+        path = tmp_path / "bad.csv"
+        good = "ER,1,3,1,2,2,1.0,0.5,1.9,0.95,0.01,10.0,1,2,3,"
+        path.write_text("\n".join([",".join(CSV_COLUMNS), good, row]) + "\n")
+        with pytest.raises(ValueError) as exc:
+            read_records_csv(path)
+        assert str(exc.value) == f"{path}: {where}"
+
     def test_json_sidecar_holds_params(self, tmp_path):
         records = run_suite(SMALL_SUITE)
         path = tmp_path / "r.json"

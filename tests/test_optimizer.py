@@ -39,7 +39,7 @@ class _OnesRng:
 
 def p2_loss(c_target, lambda_):
     """The depth-1 loss of the single edge P2."""
-    return make_objective(ExpectationEvaluator(P2), 1, c_target, lambda_)
+    return make_objective(ExpectationEvaluator(P2), c_target, lambda_)
 
 
 class TestObjective:

@@ -18,7 +18,7 @@ from swarmcut import _statevec
 from swarmcut.optimizer import finite_diff_grad, make_objective
 
 from dense_oracle import (closed_form_p1_expectation, dense_expectation, dense_mixer, dense_state,
-                          qubitwise_mixer)
+                          lightcone_expectation, qubitwise_mixer)
 
 P2 = Graph(2, ((0, 1),))
 K3 = Graph(3, ((0, 1), (0, 2), (1, 2)))
@@ -40,7 +40,7 @@ def symmetric_state(n, seed):
 def mix_half(half, n, beta):
     """exp(-i*beta*X) on the symmetric n-qubit state whose half is half,
     through a MixerPlan; the result lands in half."""
-    plan = _statevec.MixerPlan(half, n, np.empty_like(half))
+    plan = _statevec.MixerPlan(half, np.empty_like(half))
     np.copyto(plan.source, half)
     _statevec.apply_mixer(half, n, beta, plan)
 
@@ -267,7 +267,7 @@ class TestExpectation:
         # The evaluator's kernels: the phase product into the plan's source, then the mixer.
         values = g.cut_spectrum[:32]
         state = np.full(32, 1 / math.sqrt(64), dtype=complex)
-        plan = _statevec.MixerPlan(state, 6, np.empty_like(state))
+        plan = _statevec.MixerPlan(state, np.empty_like(state))
         for _ in range(12):
             table = np.exp(-1j * float(rng.uniform(-np.pi, np.pi)) * np.arange(values.max() + 1))
             _statevec.apply_phase_table(state, values, table, plan.source)
@@ -326,7 +326,7 @@ class TestBitFlipSymmetry:
         for buf in (*ev._layers, ev._scratch):
             assert buf.shape == (1 << (n - 1),)
 
-    @pytest.mark.parametrize("n", range(1, 8))
+    @pytest.mark.parametrize("n", range(1, _statevec.FOLD_QUBITS + 2))
     def test_folded_mixer_matches_dense_oracle(self, n):
         # On a symmetric state, column b >= 2^(n-1) of the dense mixer meets
         # the amplitude of its mirror 2^n - 1 - b, so the half-state matrix
@@ -335,7 +335,7 @@ class TestBitFlipSymmetry:
         for beta in (0.0, 0.43, -2.1, math.pi / 2):
             dense = dense_mixer(n, beta)[:size]
             expected = dense[:, :size] + dense[:, size:][:, ::-1]
-            folded = _statevec._folded_mixer(n, math.cos(beta), math.sin(beta))
+            folded, = _statevec._layer_matrices(n - 1, beta)
             np.testing.assert_allclose(folded, expected, rtol=0, atol=1e-13)
 
     # n = 6 is the largest folded layer, n = 7 the smallest group chain.
@@ -439,7 +439,7 @@ class TestPrefixReuse:
         rng = np.random.default_rng(p)
         # n = 6 folds each mixer layer into one product; n = 9 chains groups.
         for n in (6, 9):
-            loss = make_objective(ExpectationEvaluator(generate_er(n, 0.5, seed=1)), p, 5.0, 1.0)
+            loss = make_objective(ExpectationEvaluator(generate_er(n, 0.5, seed=1)), 5.0, 1.0)
             # As in the optimizer: a position evaluation, then the gradient at another point.
             loss(rng.uniform(-np.pi, np.pi, 2 * p))
             calls.clear()
@@ -679,21 +679,79 @@ class TestReduction:
 
 class TestGroupMixerMemo:
     def test_read_only_and_equal_to_uncached_build(self):
-        # Group layers from one partial group to two groups and a rest, and
-        # folded layers from one to FOLD_QUBITS half-state qubits.
-        cases = [(q, False) for q in range(1, 2 * _statevec.GROUP_QUBITS + 2)]
-        cases += [(q, True) for q in range(_statevec.FOLD_QUBITS + 1)]
-        for qubits, fold in cases:
+        # Folded layers up to FOLD_QUBITS = 5 half-state qubits; qubits 6..9
+        # chain groups of 4 + 2, 4 + 3, 4 + 4 and 4 + 4 + 1 qubits.
+        for qubits in range(1, 2 * _statevec.GROUP_QUBITS + 2):
+            fold = qubits <= _statevec.FOLD_QUBITS
             for beta in (0.0, 0.61, -2.3):
-                matrices = _statevec._layer_matrices(qubits, fold, beta)
-                assert _statevec._layer_matrices(qubits, fold, beta) is matrices
-                fresh = _statevec._layer_matrices.__wrapped__(qubits, fold, beta)
-                assert len(matrices) == len(fresh) == (1 if fold else -(-qubits // _statevec.GROUP_QUBITS))
+                matrices = _statevec._layer_matrices(qubits, beta)
+                assert _statevec._layer_matrices(qubits, beta) is matrices
+                fresh = _statevec._layer_matrices.__wrapped__(qubits, beta)
+                sizes = [qubits] if fold else _statevec._groups(qubits)
+                assert [m.shape for m in matrices] == [(1 << k, 1 << k) for k in sizes]
+                assert len(fresh) == len(matrices)
                 for m, expected in zip(matrices, fresh):
                     assert not m.flags.writeable
                     np.testing.assert_array_equal(m, expected)
                     with pytest.raises(ValueError):
                         m[0, 0] = 0
+
+    def test_plan_fold_agrees_with_layer_matrices(self):
+        # A folded plan takes one matrix-vector product with the layer's only
+        # matrix; a group chain has two groups or more.
+        for qubits in range(10):
+            half = np.zeros(1 << qubits, dtype=complex)
+            plan = _statevec.MixerPlan(half, np.empty_like(half))
+            assert (plan.n, plan.qubits) == (qubits + 1, qubits)
+            assert plan.fold == (len(_statevec._layer_matrices(qubits, 0.37)) == 1)
+
+
+class TestLightConeOracle:
+    """The light-cone oracle simulates each edge's depth-p ball on its own and
+    shares no code with the engine, so it checks depths 2 and 3 at n = 20..24,
+    where the dense oracle cannot run and the closed form covers depth 1 only.
+    WS(n, 2, 0.0) is the ring C_n and WS(n, 4, 0.0) the ring lattice of the
+    sweep's WS model before rewiring."""
+
+    def test_matches_dense_oracle(self):
+        # Balls smaller than the graph check the cut to the light cone: C_9
+        # and C_10 at depths 1..3, and WS(8, 2, 0.3) at depths 1 and 2. The
+        # other balls, ER(n, 0.5)'s among them, cover the whole graph.
+        rng = np.random.default_rng(31)
+        graphs = [generate_ws(n, 2, 0.0, seed=0) for n in (7, 9, 10)]
+        graphs += [generate_ws(n, 2, 0.3, seed=n) for n in (8, 10)]
+        graphs += [generate_er(n, 0.5, seed=n) for n in (4, 7)]
+        for g in graphs:
+            for p in (1, 2, 3):
+                gammas, betas = rng.uniform(-np.pi, np.pi, (2, p))
+                light = lightcone_expectation(g.n, g.edges, gammas, betas)
+                assert abs(light - dense_expectation(g.n, g.edges, gammas, betas)) < 1e-12 * g.edge_count
+
+    @staticmethod
+    def check_evaluator(g, p, seed, count):
+        rng = np.random.default_rng(seed)
+        ev = ExpectationEvaluator(g)
+        for gammas, betas in rng.uniform(-np.pi, np.pi, (count, 2, p)):
+            light = lightcone_expectation(g.n, g.edges, gammas, betas)
+            assert abs(ev.expectation(gammas, betas) - light) < 1e-12 * g.edge_count
+
+    @pytest.mark.parametrize("p", [2, 3])
+    @pytest.mark.parametrize("n", [20, pytest.param(22, marks=pytest.mark.slow),
+                                   pytest.param(24, marks=pytest.mark.slow)])
+    def test_evaluator_on_sparse_graphs(self, n, p):
+        self.check_evaluator(generate_ws(n, 2, 0.0, seed=0), p, 400 + 10 * n + p, 3)
+        self.check_evaluator(generate_ws(n, 2, 0.3, seed=n), p, 500 + 10 * n + p, 3)
+
+    @pytest.mark.parametrize("n", [16, 17, 18, 19, 20, pytest.param(22, marks=pytest.mark.slow),
+                                   pytest.param(24, marks=pytest.mark.slow)])
+    def test_evaluator_on_ring_lattice(self, n):
+        # Balls of 10 and 11 qubits at depth 2.
+        self.check_evaluator(generate_ws(n, 4, 0.0, seed=n), 2, 600 + n, 2)
+
+    def test_large_ball_refused(self):
+        g = generate_er(20, 0.5, seed=20)
+        with pytest.raises(ValueError, match="20 qubits"):
+            lightcone_expectation(g.n, g.edges, [0.4, -0.2], [0.3, 0.9])
 
 
 class TestMixerKernel:
@@ -709,7 +767,7 @@ class TestMixerKernel:
         size = 1 << (n - 1)
         state = symmetric_state(n, seed)
         half = state[:size].copy()
-        plan = _statevec.MixerPlan(half, n, np.empty_like(half))
+        plan = _statevec.MixerPlan(half, np.empty_like(half))
         assert plan.fold == (n - 1 <= _statevec.FOLD_QUBITS)
         for beta in betas:
             state = reference(state, beta)
@@ -744,7 +802,7 @@ class TestMixerKernel:
         halves = [state[:size].copy() for state in states]
         scratch = np.empty_like(halves[0])
         for state, half, beta in zip(states, halves, (-1.3, 0.6)):
-            plan = _statevec.MixerPlan(half, n, scratch if shared_scratch else np.empty_like(half))
+            plan = _statevec.MixerPlan(half, scratch if shared_scratch else np.empty_like(half))
             np.copyto(plan.source, half)
             _statevec.apply_mixer(half, n, beta, plan)
             state[:] = qubitwise_mixer(state, n, beta)
@@ -764,32 +822,36 @@ class TestMixerKernel:
         state = buf[:1 << (n - 1)]
         before = state.copy()
         with pytest.raises(ValueError):
-            _statevec.MixerPlan(state, n, make_scratch(buf, 1 << (n - 1)))
+            _statevec.MixerPlan(state, make_scratch(buf, 1 << (n - 1)))
         np.testing.assert_array_equal(state, before)
 
     def test_plan_for_another_state_rejected(self):
         state, other = random_state(5, 1), random_state(5, 2)
         with pytest.raises(ValueError):
-            _statevec.apply_mixer(state, 6, 0.5, _statevec.MixerPlan(other, 6, np.empty_like(other)))
-        with pytest.raises(ValueError):
-            _statevec.apply_mixer(state, 5, 0.5, _statevec.MixerPlan(state, 6, np.empty_like(state)))
+            _statevec.apply_mixer(state, 6, 0.5, _statevec.MixerPlan(other, np.empty_like(other)))
+        # The plan reads n = 6 off the 32 amplitudes; a call for n = 5 or 7 is refused.
+        plan = _statevec.MixerPlan(state, np.empty_like(state))
+        for n in (5, 7):
+            with pytest.raises(ValueError):
+                _statevec.apply_mixer(state, n, 0.5, plan)
 
-    @pytest.mark.parametrize("n", [0, 5, 7])
-    def test_size_other_than_half_rejected(self, n):
-        state = random_state(5, 1)
-        with pytest.raises(ValueError):
-            _statevec.MixerPlan(state, n, np.empty_like(state))
+    # The ids are lengths that no half state has: 2^m is at least 1.
+    @pytest.mark.parametrize("size", [0, 5, 7, 12, 48])
+    def test_size_other_than_half_rejected(self, size):
+        state = np.zeros(size, dtype=complex)
+        with pytest.raises(ValueError, match="2\\^m amplitudes"):
+            _statevec.MixerPlan(state, np.empty_like(state))
 
     def test_strided_state(self):
         state = random_state(7, 4)[::2]
         with pytest.raises(ValueError):
-            _statevec.MixerPlan(state, 7, np.empty(state.size, dtype=complex))
+            _statevec.MixerPlan(state, np.empty(state.size, dtype=complex))
 
     def test_non_contiguous_2d_state_rejected(self):
         # Contiguous or not, a 2-D array is not a half state.
         for state in (random_state(7, 4).reshape(8, 16)[:, ::2], random_state(6, 4).reshape(8, 8)):
             with pytest.raises(ValueError):
-                _statevec.MixerPlan(state, 7, np.empty_like(state))
+                _statevec.MixerPlan(state, np.empty_like(state))
 
 
 # derandomize keeps the suite's outcome fixed from run to run; database=None
