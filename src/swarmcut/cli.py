@@ -24,7 +24,7 @@ from .experiment import (
     write_records_json,
     write_report_csv,
 )
-from .graphs import max_cut_bruteforce, read_graph
+from .graphs import check_int, max_cut_bruteforce, read_graph
 from .optimizer import SwarmConfig, adam_fipso_optimize, approx_ratio
 from .simulator import LANDSCAPE_DEFAULT_RESOLUTION, write_landscape_csv
 
@@ -56,13 +56,12 @@ def _parse_float_range(text: str) -> tuple[float, float]:
 
 def _int_at_least(low: int):
     def parse(text: str) -> int:
+        value = text
         try:
             value = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
-        if value < low:
-            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {value}")
-        return value
+            return check_int("value", value, low)
+        except ValueError:  # the text unquoted once it reads as an integer
+            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {value!r}") from None
     return parse
 
 

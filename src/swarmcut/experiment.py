@@ -20,8 +20,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graphs import MAX_NODES, Graph, generate_er, generate_ws, max_cut_bruteforce, one_exchange_cut, ws_k_for
-from .optimizer import SwarmConfig, adam_fipso_optimize, approx_ratio, check_int, check_real, random_params
+from .graphs import (MAX_NODES, Graph, check_int, check_real, generate_er, generate_ws, max_cut_bruteforce,
+                     one_exchange_cut, ws_k_for)
+from .optimizer import SwarmConfig, adam_fipso_optimize, approx_ratio, random_params
 from .simulator import ExpectationEvaluator
 
 MODELS = ("ER", "WS")
@@ -91,39 +92,34 @@ class SuiteConfig:
             except TypeError:
                 raise ValueError(f"{name} must be a sequence, got {getattr(self, name)!r}") from None
         object.__setattr__(self, "models", tuple(str(m).upper() for m in self.models))
-        self.validate()
-        object.__setattr__(self, "depths", tuple(sorted(self.depths)))
-        if self.node_hi > 16:
-            # stacklevel 3: past __post_init__ and __init__ to the constructor call.
-            warnings.warn(f"node_hi={self.node_hi} exceeds 16; statevectors grow as 2^n "
-                          "and the sweep may take very long", stacklevel=3)
-
-    def validate(self) -> None:
         # A repeated or unknown entry makes the intersection shorter than the tuple.
         if not self.models or len(set(self.models) & set(MODELS)) < len(self.models):
             raise ValueError(f"models must be distinct entries of {MODELS}, got {self.models}")
-        check_int("node_lo", self.node_lo, 3)
-        check_int("node_hi", self.node_hi, self.node_lo)
+        for name, low in (("node_lo", 3), ("instances_per_size", 1), ("base_seed", 0)):
+            object.__setattr__(self, name, check_int(name, getattr(self, name), low))
+        object.__setattr__(self, "node_hi", check_int("node_hi", self.node_hi, self.node_lo))
         if self.node_hi > MAX_NODES:
             raise ValueError(f"node_hi must be <= {MAX_NODES}, got {self.node_hi}")
-        check_int("instances_per_size", self.instances_per_size, 1)
         if not isinstance(self.swarm, SwarmConfig):
             raise ValueError(f"swarm must be a SwarmConfig, got {type(self.swarm).__name__}")
-        for p in self.depths:
-            check_int("depths", p, 1)  # before the set test: 1.0 and True pass it, a list cannot enter it
+        # Checked before the set test: 1.0 and True pass it, a list cannot enter it.
+        object.__setattr__(self, "depths", tuple(sorted(check_int("depths", p, 1) for p in self.depths)))
         if not self.depths or len(set(self.depths) & {1, 2, 3}) < len(self.depths):
             raise ValueError(f"depths must be distinct entries of (1, 2, 3), got {self.depths}")
         for p in self.depths:
             self.swarm.box(p)
-        check_real("er_edge_prob", self.er_edge_prob)
-        check_real("ws_rewire_prob", self.ws_rewire_prob)
+        for name in ("er_edge_prob", "ws_rewire_prob"):
+            object.__setattr__(self, name, check_real(name, getattr(self, name)))
         # Zero is excluded because _generate_instance resamples until the
         # graph has an edge, which never happens at probability 0.
         if not 0.0 < self.er_edge_prob <= 1.0:
             raise ValueError(f"er_edge_prob must be in (0, 1], got {self.er_edge_prob}")
         if not 0.0 <= self.ws_rewire_prob <= 1.0:
             raise ValueError(f"ws_rewire_prob must be in [0, 1], got {self.ws_rewire_prob}")
-        check_int("base_seed", self.base_seed, 0)
+        if self.node_hi > 16:
+            # stacklevel 3: past __post_init__ and __init__ to the constructor call.
+            warnings.warn(f"node_hi={self.node_hi} exceeds 16; statevectors grow as 2^n "
+                          "and the sweep may take very long", stacklevel=3)
 
     def cells(self) -> list[tuple[str, int, int, int]]:
         """All (model, graph_index, n, p) combinations in canonical order."""
@@ -144,6 +140,8 @@ def derive_seed(base_seed: int, *parts) -> int:
 def _generate_instance(model: str, n: int, cfg: SuiteConfig, graph_seed: int) -> tuple[Graph, int]:
     """Generate a graph, resampling with incremented seed while it has no
     edges (the approximation ratio is undefined for a MaxCut of 0)."""
+    if model not in MODELS:
+        raise ValueError(f"model must be one of {MODELS}, got {model!r}")
     seed = graph_seed
     while True:
         if model == "ER":
@@ -175,6 +173,7 @@ def improvement(ar_opt: float, ar_rand: float) -> float:
 def run_instance(model: str, graph_index: int, n: int, p: int, cfg: SuiteConfig) -> ExperimentRecord:
     """One sweep cell. The graph seed omits p, so all depths share the graph."""
     model = model.upper()
+    graph_index, n, p = check_int("graph_index", graph_index, 1), check_int("n", n, 1), check_int("p", p, 1)
     base_graph_seed = derive_seed(cfg.base_seed, model, graph_index, n, "graph")
     g, graph_seed = _generate_instance(model, n, cfg, base_graph_seed)
 
@@ -256,8 +255,9 @@ def _worker_pool(jobs: int) -> ProcessPoolExecutor:
 def iter_suite(cfg: SuiteConfig, jobs: int = 1):
     """Yield the record of every cell of the sweep as soon as it is done, in
     canonical order (model, graph_index, n, p) regardless of the worker count."""
+    jobs = check_int("jobs", jobs, 1)
     tasks = [(model, g_idx, n, p, cfg) for model, g_idx, n, p in cfg.cells()]
-    if jobs <= 1:
+    if jobs == 1:
         yield from map(_run_cell, tasks)
     else:
         with _worker_pool(jobs) as executor:
@@ -298,7 +298,8 @@ _COLUMN_TYPES = {"graph_index": int, "n": int, "p": int, "max_cut": int, "classi
 
 def read_records_csv(path) -> list[dict]:
     """Parse a results CSV back into typed dicts, validating the schema."""
-    with open(path, "r", encoding="utf-8", newline="") as f:
+    # utf-8-sig drops the byte-order mark a spreadsheet's "CSV UTF-8" starts with.
+    with open(path, "r", encoding="utf-8-sig", newline="") as f:
         reader = csv.DictReader(f)
         header = reader.fieldnames or []
         missing = [col for col in CSV_COLUMNS if col not in header]

@@ -8,6 +8,8 @@ simulator, so a basis-state index doubles as a partition mask.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 from collections.abc import Iterable, Sized
 from dataclasses import dataclass
 from functools import cached_property
@@ -34,6 +36,26 @@ def _is_int(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def check_int(name: str, value, low: int) -> int:
+    """value as a Python int; ValueError naming name unless it is an integer >= low."""
+    if not _is_int(value) or value < low:
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+    return int(value)
+
+
+def check_real(name: str, value) -> float:
+    """value as a Python float; ValueError naming name unless it is a finite
+    real number. Booleans and strings are not numbers, and an int too large
+    for a float is not finite."""
+    try:
+        number = float(value) if isinstance(value, numbers.Real) and not isinstance(value, bool) else math.nan
+    except OverflowError:
+        number = math.nan
+    if not math.isfinite(number):
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+    return number
+
+
 @dataclass(frozen=True)
 class Graph:
     """Simple undirected graph on vertices 0..n-1."""
@@ -42,8 +64,10 @@ class Graph:
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        if not _is_int(self.n) or self.n < 1:
-            raise GraphValidationError(f"node count must be an integer >= 1, got {self.n!r}")
+        try:
+            object.__setattr__(self, "n", check_int("node count", self.n, 1))
+        except ValueError as exc:
+            raise GraphValidationError(str(exc)) from None
         if not isinstance(self.edges, Iterable):
             raise GraphParseError(f"edges must be a sequence of vertex pairs, got {self.edges!r}")
         seen = set()
@@ -51,7 +75,7 @@ class Graph:
         for edge in self.edges:
             if not (isinstance(edge, Sized) and len(edge) == 2 and all(map(_is_int, edge))):
                 raise GraphParseError(f"edge {edge!r} is not a pair of integer vertices")
-            i, j = edge
+            i, j = map(int, edge)
             if i == j:
                 raise GraphParseError(f"self-loop at vertex {i}")
             if not (0 <= i < self.n and 0 <= j < self.n):
@@ -92,10 +116,9 @@ class CutResult:
 
 def generate_er(n: int, edge_prob: float, seed: int) -> Graph:
     """Erdos-Renyi G(n, p): every unordered pair drawn independently."""
-    if n < 1:
-        raise ValueError(f"node count must be >= 1, got {n}")
+    n, edge_prob = check_int("n", n, 1), check_real("edge_prob", edge_prob)
     if not 0.0 <= edge_prob <= 1.0:
-        raise ValueError(f"edge probability must be in [0, 1], got {edge_prob}")
+        raise ValueError(f"edge_prob must be in [0, 1], got {edge_prob}")
     rng = np.random.default_rng(seed)
     edges = []
     for i in range(n):
@@ -109,12 +132,12 @@ def generate_ws(n: int, k: int, rewire_prob: float, seed: int) -> Graph:
     """Watts-Strogatz: ring lattice with k nearest neighbours, each lattice
     edge rewired with probability rewire_prob avoiding self-loops and
     duplicates (rewiring is skipped for saturated vertices)."""
-    if k % 2 != 0 or k < 2:
-        raise ValueError(f"k must be even and >= 2, got {k}")
-    if k >= n:
-        raise ValueError(f"k must be < n, got k={k}, n={n}")
+    n, k = check_int("n", n, 3), check_int("k", k, 2)
+    rewire_prob = check_real("rewire_prob", rewire_prob)
+    if k % 2 != 0 or k >= n:
+        raise ValueError(f"k must be even and < n, got k={k}, n={n}")
     if not 0.0 <= rewire_prob <= 1.0:
-        raise ValueError(f"rewire probability must be in [0, 1], got {rewire_prob}")
+        raise ValueError(f"rewire_prob must be in [0, 1], got {rewire_prob}")
     rng = np.random.default_rng(seed)
     adj = {u: set() for u in range(n)}
     for j in range(1, k // 2 + 1):
@@ -145,8 +168,7 @@ def generate_ws(n: int, k: int, rewire_prob: float, seed: int) -> Graph:
 def ws_k_for(n: int) -> int:
     """Neighbour count for the WS sweep: min(4, n//2), floored to even,
     clamped up to 2. Always valid for generate_ws at this n."""
-    if n < 3:
-        raise ValueError(f"need n >= 3 for a ring lattice, got {n}")
+    n = check_int("n", n, 3)  # a ring lattice needs three vertices
     k = min(4, n // 2)
     k -= k % 2
     return max(k, 2)
@@ -154,7 +176,8 @@ def ws_k_for(n: int) -> int:
 
 def cut_size(g: Graph, mask: int) -> int:
     """Number of edges crossing the partition encoded by mask."""
-    if not 0 <= mask < (1 << g.n):
+    mask = check_int("mask", mask, 0)
+    if mask >= 1 << g.n:
         raise ValueError(f"mask {mask} out of range for n={g.n}")
     return sum(1 for i, j in g.edges if ((mask >> i) ^ (mask >> j)) & 1)
 

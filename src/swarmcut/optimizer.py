@@ -21,30 +21,12 @@ from typing import Callable
 
 import numpy as np
 
-from .graphs import Graph
+from .graphs import Graph, check_int, check_real
 from .simulator import ExpectationEvaluator
 
 MODES = ("adam_fd", "adam_swarm", "fipso_plain")
 
 DEFAULT_BOUND = (-math.pi, math.pi)
-
-
-def check_int(name: str, value, low: int) -> None:
-    """Raise ValueError unless value is an integer >= low. bool subclasses
-    int, but true/false is not a count or a seed."""
-    if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < low:
-        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
-
-
-def check_real(name: str, value) -> None:
-    """Raise ValueError unless value is a finite real number, bool excluded.
-    An int too large for a float is not finite."""
-    try:
-        finite = isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
-    except OverflowError:
-        finite = False
-    if not finite:
-        raise ValueError(f"{name} must be a finite number, got {value!r}")
 
 
 def _bound_pairs(bounds) -> tuple[tuple[float, float], ...]:
@@ -56,15 +38,14 @@ def _bound_pairs(bounds) -> tuple[tuple[float, float], ...]:
         pairs = []
     if not pairs or any(len(pair) != 2 for pair in pairs):
         raise ValueError(f"bounds must be a (lo, hi) pair or a list of pairs, got {bounds!r}")
-    for lo, hi in pairs:
-        check_real("bounds", lo)
-        check_real("bounds", hi)
+    checked = tuple((check_real("bounds", lo), check_real("bounds", hi)) for lo, hi in pairs)
+    for lo, hi in checked:
         if not lo < hi:
             raise ValueError(f"bounds ({lo}, {hi}) must satisfy lo < hi")
         # The swarm draws uniformly from [lo, hi), which needs a finite width.
-        if not math.isfinite(float(hi) - float(lo)):
+        if not math.isfinite(hi - lo):
             raise ValueError(f"bounds ({lo}, {hi}) must have a finite width hi - lo")
-    return tuple((float(lo), float(hi)) for lo, hi in pairs)
+    return checked
 
 
 @dataclass(frozen=True)
@@ -93,22 +74,17 @@ class SwarmConfig:
     def __post_init__(self):
         if self.bounds is not None:
             object.__setattr__(self, "bounds", _bound_pairs(self.bounds))
-        self.validate()
-
-    def validate(self) -> None:
-        check_int("swarm_size", self.swarm_size, 2)
-        check_int("max_iters", self.max_iters, 1)
-        check_int("seed", self.seed, 0)
+        for name, low in (("swarm_size", 2), ("max_iters", 1), ("seed", 0)):
+            object.__setattr__(self, name, check_int(name, getattr(self, name), low))
         for name in ("w_max", "w_min", "c", "eta", "adam_beta1", "adam_beta2", "epsilon", "lambda_", "fd_step"):
-            check_real(name, getattr(self, name))
+            object.__setattr__(self, name, check_real(name, getattr(self, name)))
         if not 0 <= self.w_min <= self.w_max:
             raise ValueError(f"need 0 <= w_min <= w_max, got ({self.w_min}, {self.w_max})")
         if not 0 < self.adam_beta1 < 1 or not 0 < self.adam_beta2 < 1:
             raise ValueError("adam decay rates must lie strictly in (0, 1)")
-        if self.epsilon <= 0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
-        if self.fd_step <= 0:
-            raise ValueError(f"fd_step must be positive, got {self.fd_step}")
+        for name in ("epsilon", "fd_step"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         # Zero means no social pull, no Adam step or no ratio penalty; a
         # negative c, eta or lambda would push the swarm up the loss.
         for name in ("c", "eta", "lambda_"):
@@ -121,6 +97,7 @@ class SwarmConfig:
     def box(self, p: int) -> np.ndarray:
         """The (2p, 2) box over (gamma_1..p, beta_1..p): (-pi, pi) when bounds is
         unset, a single pair for every angle, else exactly 2p pairs (or ValueError)."""
+        p = check_int("p", p, 1)
         pairs = self.bounds or (DEFAULT_BOUND,)
         if len(pairs) == 1:
             pairs = pairs * (2 * p)
@@ -173,8 +150,9 @@ def make_objective(ev: ExpectationEvaluator, c_target: float,
                    lambda_: float) -> Callable[[np.ndarray], float]:
     """Loss over 2p-vectors theta = (gamma_1..p, beta_1..p) on ev's graph:
     (C_hat - c_target)^2 + lambda * (1 - AR)^2. The depth p is len(theta) // 2."""
+    c_target = check_real("c_target", c_target)
     if c_target < 0:
-        raise ValueError(f"target cut must be non-negative, got {c_target}")
+        raise ValueError(f"c_target must be non-negative, got {c_target}")
 
     def loss(theta: np.ndarray) -> float:
         p = len(theta) // 2
@@ -227,9 +205,7 @@ def adam_update(m, v2, t: int, grad, beta1: float, beta2: float,
 
 def random_params(p: int, rng) -> np.ndarray:
     """One uniform draw from [-pi, pi]^(2p)."""
-    if p < 1:
-        raise ValueError(f"depth must be >= 1, got {p}")
-    return rng.uniform(-math.pi, math.pi, size=2 * p)
+    return rng.uniform(-math.pi, math.pi, size=2 * check_int("p", p, 1))
 
 
 def minimize(f: Callable[[np.ndarray], float], bounds, cfg: SwarmConfig) -> OptimizeResult:
@@ -306,8 +282,7 @@ def minimize(f: Callable[[np.ndarray], float], bounds, cfg: SwarmConfig) -> Opti
 def adam_fipso_optimize(g: Graph, p: int, c_target: float, cfg: SwarmConfig) -> OptimizeResult:
     """Optimize the 2p QAOA angles of g against a classical target cut. The
     loss and best_expectation share one ExpectationEvaluator of g, built here."""
-    if p < 1:
-        raise ValueError(f"depth must be >= 1, got {p}")
+    p = check_int("p", p, 1)
     ev = ExpectationEvaluator(g)
     result = minimize(make_objective(ev, c_target, cfg.lambda_), cfg.box(p), cfg)
     result.best_expectation = ev.expectation(result.best_position[:p], result.best_position[p:])

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _statevec
-from .graphs import Graph
+from .graphs import Graph, check_int, check_real
 
 LANDSCAPE_DEFAULT_RANGE = (-math.pi, math.pi)
 LANDSCAPE_DEFAULT_RESOLUTION = 64
@@ -150,13 +150,14 @@ def qaoa_expectation(g: Graph, params: QaoaParams) -> float:
 
 def _lattice_axes(gamma_range, beta_range, resolution: int) -> tuple[np.ndarray, np.ndarray]:
     """The inclusive gamma and beta axes of a resolution x resolution lattice."""
-    if resolution < 2:
-        raise ValueError(f"resolution must be >= 2, got {resolution}")
-    for lo, hi in (gamma_range, beta_range):
-        if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-            raise ValueError(f"range ({lo}, {hi}) must be finite with lo < hi")
-    return (np.linspace(gamma_range[0], gamma_range[1], resolution),
-            np.linspace(beta_range[0], beta_range[1], resolution))
+    resolution = check_int("resolution", resolution, 2)
+    axes = []
+    for name, (lo, hi) in (("gamma_range", gamma_range), ("beta_range", beta_range)):
+        lo, hi = check_real(name, lo), check_real(name, hi)
+        if not lo < hi:
+            raise ValueError(f"{name} ({lo}, {hi}) must satisfy lo < hi")
+        axes.append(np.linspace(lo, hi, resolution))
+    return tuple(axes)
 
 
 def landscape_grid(g: Graph, gamma_range=LANDSCAPE_DEFAULT_RANGE,

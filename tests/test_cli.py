@@ -254,6 +254,13 @@ class TestRunSuite:
         assert exc.value.code == 2
         assert "--seed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text, shown", [("0", "0"), ("-5", "-5"), ("two", "'two'"), ("1.5", "'1.5'")])
+    def test_bad_count_message(self, capsys, text, shown):
+        with pytest.raises(SystemExit) as exc:
+            main(["run-suite", f"--jobs={text}"])
+        assert exc.value.code == 2
+        assert f"--jobs: expected an integer >= 1, got {shown}\n" in capsys.readouterr().err
+
     def test_bad_node_range_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             main(["run-suite", "--nodes", "3-4"])
@@ -366,6 +373,17 @@ class TestReport:
         path.write_text("\n".join(rows) + "\n")
         assert main(["report", str(path)]) == 0
         assert "15.0%" in capsys.readouterr().out
+
+    def test_byte_order_mark_accepted(self, tmp_path, capsys):
+        out = tmp_path / "r.csv"
+        assert main(["run-suite", *SMALL_SUITE_FLAGS, "--out", str(out)]) == 0
+        bom = tmp_path / "bom.csv"
+        bom.write_bytes(b"\xef\xbb\xbf" + out.read_bytes())
+        capsys.readouterr()
+        assert main(["report", str(out)]) == 0
+        expected = capsys.readouterr().out
+        assert main(["report", str(bom)]) == 0
+        assert capsys.readouterr().out == expected
 
     def test_report_csv_out(self, tmp_path, capsys):
         out = tmp_path / "r.csv"

@@ -140,6 +140,16 @@ class TestRunInstance:
         assert (record.opt_cut, record.opt_loss) == (result.best_expectation, result.best_loss)
         assert record.opt_params == tuple(result.best_position)
 
+    def test_unknown_model_rejected(self):
+        # An unknown model must not fall through to the Watts-Strogatz generator.
+        with pytest.raises(ValueError, match="model must be one of"):
+            run_instance("BA", 1, 6, 1, SMALL_SUITE)
+
+    def test_numpy_integers_give_the_same_record(self):
+        record = run_instance("ER", np.int64(1), np.int32(3), np.uint8(1), SMALL_SUITE)
+        assert all(type(v) is int for v in (record.graph_index, record.n, record.p))
+        assert record == run_instance("ER", 1, 3, 1, SMALL_SUITE)
+
     def test_graph_shared_across_depths(self):
         r1 = run_instance("ER", 1, 4, 1, SMALL_SUITE)
         r2 = run_instance("ER", 1, 4, 2, SMALL_SUITE)
@@ -227,7 +237,7 @@ class TestRunSuite:
 
 class TestSuiteConfig:
     def test_default_valid(self):
-        SuiteConfig().validate()
+        SuiteConfig()
 
     @pytest.mark.parametrize("kwargs", [
         {"node_lo": 2}, {"node_lo": 5, "node_hi": 4}, {"node_hi": 25},
@@ -240,11 +250,11 @@ class TestSuiteConfig:
     ])
     def test_invalid(self, kwargs):
         with pytest.raises(ValueError):
-            SuiteConfig(**kwargs).validate()
+            SuiteConfig(**kwargs)
 
     def test_capacity_warning_above_sixteen(self):
         with pytest.warns(UserWarning):
-            SuiteConfig(node_hi=18).validate()
+            SuiteConfig(node_hi=18)
 
     def test_capacity_warning_at_constructor_line(self):
         with pytest.warns(UserWarning) as record:
@@ -273,9 +283,19 @@ class TestSuiteConfig:
         with pytest.raises(ValueError, match="depth 3"):
             SuiteConfig(depths=(2, 3), swarm=swarm)
 
+    def test_numpy_scalars_stored_as_plain_numbers(self):
+        cfg = SuiteConfig(node_lo=np.int64(3), node_hi=np.int32(4), instances_per_size=np.uint8(2),
+                          depths=np.array([2, 1]), er_edge_prob=np.float32(0.5),
+                          ws_rewire_prob=np.float64(0.25), base_seed=np.int64(7))
+        counts = (cfg.node_lo, cfg.node_hi, cfg.instances_per_size, cfg.base_seed, *cfg.depths)
+        assert all(type(v) is int for v in counts)
+        assert (type(cfg.er_edge_prob), type(cfg.ws_rewire_prob)) == (float, float)
+        assert cfg.depths == (1, 2)
+        assert cfg == SuiteConfig(node_lo=3, node_hi=4, instances_per_size=2, depths=(1, 2),
+                                  er_edge_prob=0.5, ws_rewire_prob=0.25, base_seed=7)
+
     def test_models_normalized(self):
         cfg = SuiteConfig(models=("ws", "er"))
-        cfg.validate()
         assert cfg.models == ("WS", "ER")
         assert [c[0] for c in cfg.cells()][0] == "ER"  # canonical order sorts
 
@@ -294,6 +314,26 @@ class TestPersistence:
             assert row["opt_ar"] == pytest.approx(record.opt_ar, abs=0)
             assert row["improvement_pct"] == pytest.approx(record.improvement_pct, abs=0)
             assert row["swarm_seed"] == record.swarm_seed
+
+    def test_numpy_config_sidecar_is_plain_json(self, tmp_path):
+        # An np.int64 in the config echo would make json.dump fail after the
+        # whole sweep had run, leaving a truncated sidecar.
+        def sidecar(name, depths, swarm_size, max_iters):
+            cfg = SuiteConfig(models=("ER",), node_lo=3, node_hi=3, instances_per_size=1, depths=depths,
+                              swarm=SwarmConfig(swarm_size=swarm_size, max_iters=max_iters))
+            write_records_json(tmp_path / name, run_suite(cfg))
+            with open(tmp_path / name, encoding="utf-8") as f:
+                return json.load(f)
+
+        numpy_doc = sidecar("np.json", depths=np.array([1]), swarm_size=np.int64(3), max_iters=np.int32(2))
+        assert numpy_doc == sidecar("py.json", depths=(1,), swarm_size=3, max_iters=2)
+        assert (tmp_path / "np.json").read_bytes() == (tmp_path / "py.json").read_bytes()
+
+    def test_csv_with_byte_order_mark(self, tmp_path):
+        # Spreadsheets save "CSV UTF-8" with a leading BOM.
+        bom = tmp_path / "bom.csv"
+        bom.write_bytes(b"\xef\xbb\xbf" + (RESULTS / "full_sweep_seed0.csv").read_bytes())
+        assert read_records_csv(bom) == read_records_csv(RESULTS / "full_sweep_seed0.csv")
 
     def test_csv_header(self, tmp_path):
         path = tmp_path / "r.csv"

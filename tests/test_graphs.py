@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -19,9 +20,10 @@ from swarmcut import (
     ws_k_for,
 )
 from swarmcut import graphs
-from swarmcut.graphs import cut_size, cut_values_all_masks
-from swarmcut.optimizer import SwarmConfig, adam_fipso_optimize
-from swarmcut.simulator import ExpectationEvaluator
+from swarmcut.experiment import SuiteConfig, iter_suite, run_instance
+from swarmcut.graphs import check_int, check_real, cut_size, cut_values_all_masks
+from swarmcut.optimizer import SwarmConfig, adam_fipso_optimize, make_objective, random_params
+from swarmcut.simulator import ExpectationEvaluator, landscape_grid
 
 from dense_oracle import cut_size_loop
 
@@ -77,6 +79,8 @@ class TestGraphType:
         g = Graph(np.int64(3), ((np.int64(2), np.int32(0)), (np.uint8(1), 2)))
         assert g.edges == ((0, 2), (1, 2))
         assert max_cut_bruteforce(g).value == 2
+        assert type(g.n) is int
+        assert all(type(v) is int for edge in g.edges for v in edge)
 
     def test_cut_spectrum_built_once_and_read_only(self, monkeypatch):
         calls = []
@@ -318,8 +322,101 @@ class TestGraphIo:
         with pytest.raises(GraphParseError, match=r"line \d+"):
             read_graph(path)
 
+    def test_round_trip_numpy_integers(self, tmp_path):
+        path = tmp_path / "g.json"
+        g = Graph(np.int64(3), ((np.int64(0), np.int64(1)), (np.int32(1), np.uint8(2))))
+        write_graph(path, g)
+        assert json.loads(path.read_text()) == {"n": 3, "edges": [[0, 1], [1, 2]]}
+        assert read_graph(path) == g
+
     def test_written_edges_are_low_high(self, tmp_path):
         path = tmp_path / "g.json"
         write_graph(path, Graph(4, ((3, 1), (2, 0))))
         doc = json.loads(path.read_text())
         assert doc["edges"] == [[0, 2], [1, 3]]
+
+
+_ONE_CELL = SuiteConfig(models=("ER",), node_lo=3, node_hi=3, instances_per_size=1, depths=(1,),
+                        swarm=SwarmConfig(swarm_size=2, max_iters=1))
+
+# Every library entry that takes a count, as (argument name, call).
+COUNT_SITES = [
+    ("node count", lambda v: Graph(v, ())),
+    ("n", lambda v: generate_er(v, 0.5, seed=0)),
+    ("n", lambda v: generate_ws(v, 2, 0.1, seed=0)),
+    ("k", lambda v: generate_ws(6, v, 0.1, seed=0)),
+    ("n", ws_k_for),
+    ("mask", lambda v: cut_size(K3, v)),
+    ("resolution", lambda v: landscape_grid(K3, resolution=v)),
+    ("p", lambda v: random_params(v, np.random.default_rng(0))),
+    ("p", lambda v: adam_fipso_optimize(K3, v, 2.0, SwarmConfig(swarm_size=2, max_iters=1))),
+    ("p", lambda v: SwarmConfig().box(v)),
+    ("graph_index", lambda v: run_instance("ER", v, 3, 1, _ONE_CELL)),
+    ("n", lambda v: run_instance("ER", 1, v, 1, _ONE_CELL)),
+    ("p", lambda v: run_instance("ER", 1, 3, v, _ONE_CELL)),
+    ("swarm_size", lambda v: SwarmConfig(swarm_size=v)),
+    ("max_iters", lambda v: SwarmConfig(max_iters=v)),
+    ("seed", lambda v: SwarmConfig(seed=v)),
+    ("node_lo", lambda v: SuiteConfig(node_lo=v)),
+    ("node_hi", lambda v: SuiteConfig(node_hi=v)),
+    ("instances_per_size", lambda v: SuiteConfig(instances_per_size=v)),
+    ("depths", lambda v: SuiteConfig(depths=(v,))),
+    ("base_seed", lambda v: SuiteConfig(base_seed=v)),
+    ("jobs", lambda v: next(iter_suite(_ONE_CELL, jobs=v))),
+]
+
+# Every library entry that takes a real number, as (argument name, call).
+REAL_SITES = [
+    ("edge_prob", lambda v: generate_er(4, v, seed=0)),
+    ("rewire_prob", lambda v: generate_ws(6, 2, v, seed=0)),
+    ("gamma_range", lambda v: landscape_grid(K3, gamma_range=(v, 1.0))),
+    ("beta_range", lambda v: landscape_grid(K3, beta_range=(-1.0, v))),
+    ("c_target", lambda v: make_objective(ExpectationEvaluator(K3), v, 1.0)),
+    ("c", lambda v: SwarmConfig(c=v)),
+    ("bounds", lambda v: SwarmConfig(bounds=[(v, 1.0)])),
+    ("er_edge_prob", lambda v: SuiteConfig(er_edge_prob=v)),
+    ("ws_rewire_prob", lambda v: SuiteConfig(ws_rewire_prob=v)),
+]
+
+
+class TestNumberChecks:
+    @pytest.mark.parametrize("value", [3, np.int64(3), np.uint8(3)])
+    def test_check_int_returns_int(self, value):
+        assert type(check_int("x", value, 0)) is int
+        assert check_int("x", value, 0) == 3
+
+    @pytest.mark.parametrize("value", [0.5, 2, np.float32(0.5), np.float64(0.5), np.int64(2)])
+    def test_check_real_returns_float(self, value):
+        assert type(check_real("x", value)) is float
+        assert check_real("x", value) == float(value)
+
+    @pytest.mark.parametrize("value", [2.0, True, "2", None, -1, np.float64(2.0), np.bool_(True)])
+    def test_check_int_rejects(self, value):
+        with pytest.raises(ValueError, match=r"^x must be an integer >= 0, got "):
+            check_int("x", value, 0)
+
+    @pytest.mark.parametrize("value", ["0.5", True, None, math.nan, -math.inf, 10 ** 400, [0.5]])
+    def test_check_real_rejects(self, value):
+        with pytest.raises(ValueError, match=r"^x must be a finite number, got "):
+            check_real("x", value)
+
+    @pytest.mark.parametrize("value", [2.0, True, "2"])
+    @pytest.mark.parametrize("name, call", COUNT_SITES)
+    def test_count_sites_reject_non_integers(self, name, call, value):
+        with pytest.raises(ValueError, match=rf"^{name} must be an integer >= "):
+            call(value)
+
+    @pytest.mark.parametrize("name, call", REAL_SITES)
+    def test_real_sites_reject_strings(self, name, call):
+        with pytest.raises(ValueError, match=rf"^{name} must be a finite number"):
+            call("0.5")
+
+    def test_counts_and_reals_used_as_plain_numbers(self):
+        # NumPy scalars give the same graphs and lattice as Python numbers.
+        assert generate_er(np.int64(6), np.float32(0.5), seed=1) == generate_er(6, float(np.float32(0.5)), seed=1)
+        assert generate_ws(np.int32(6), np.int64(2), np.float64(0.3), seed=1) == generate_ws(6, 2, 0.3, seed=1)
+        assert ws_k_for(np.uint8(9)) == 4
+        assert cut_size(K3, np.int64(1)) == 2
+        np.testing.assert_array_equal(landscape_grid(K3, (np.int64(-1), np.float32(0.5)), resolution=np.int64(3)),
+                                      landscape_grid(K3, (-1.0, 0.5), resolution=3))
+        assert random_params(np.int64(2), np.random.default_rng(0)).shape == (4,)

@@ -373,7 +373,7 @@ class TestAdamFipsoOptimize:
 
 class TestSwarmConfig:
     def test_defaults_valid(self):
-        SwarmConfig().validate()
+        SwarmConfig()
 
     @pytest.mark.parametrize("kwargs", [
         {"swarm_size": 1}, {"max_iters": 0}, {"w_min": 0.9, "w_max": 0.4},
@@ -392,7 +392,7 @@ class TestSwarmConfig:
     ])
     def test_invalid_configs(self, kwargs):
         with pytest.raises(ValueError):
-            SwarmConfig(**kwargs).validate()
+            SwarmConfig(**kwargs)
 
     def test_json_lambda_alias(self):
         cfg = SwarmConfig.from_dict({"lambda": 2.5, "swarm_size": 8})
@@ -401,7 +401,22 @@ class TestSwarmConfig:
         assert cfg.to_dict()["lambda"] == 2.5
 
     def test_numpy_integers_accepted(self):
-        SwarmConfig(swarm_size=np.int64(4), max_iters=np.int32(3), seed=np.uint64(7)).validate()
+        cfg = SwarmConfig(swarm_size=np.int64(4), max_iters=np.int32(3), seed=np.uint64(7))
+        assert (cfg.swarm_size, cfg.max_iters, cfg.seed) == (4, 3, 7)
+        assert all(type(v) is int for v in (cfg.swarm_size, cfg.max_iters, cfg.seed))
+
+    def test_numpy_reals_and_ints_stored_as_float(self):
+        cfg = SwarmConfig(w_max=np.float32(0.75), c=2, eta=np.float64(0.1), lambda_=np.int64(3),
+                          bounds=[(np.int64(-1), np.float32(0.5))])
+        reals = ("w_max", "w_min", "c", "eta", "adam_beta1", "adam_beta2", "epsilon", "lambda_", "fd_step")
+        assert all(type(getattr(cfg, name)) is float for name in reals)
+        assert (cfg.w_max, cfg.c, cfg.lambda_, cfg.bounds) == (0.75, 2.0, 3.0, ((-1.0, 0.5),))
+        assert all(type(b) is float for b in cfg.bounds[0])
+
+    def test_integer_real_echoes_as_float(self):
+        doc = SwarmConfig.from_dict({"c": 2, "lambda": 1}).to_dict()
+        assert json.dumps(doc["c"]) == "2.0"
+        assert json.dumps(doc["lambda"]) == "1.0"
 
     def test_unknown_key_rejected(self):
         for doc in ({"swarmsize": 8}, {"lambda_": 1.0}):
