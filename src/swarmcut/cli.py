@@ -8,13 +8,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
-import re
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 from .experiment import (
+    MODELS,
     SuiteConfig,
     aggregate_report,
     iter_suite,
@@ -26,32 +26,20 @@ from .experiment import (
 )
 from .graphs import check_int, max_cut_bruteforce, read_graph
 from .optimizer import SwarmConfig, adam_fipso_optimize, approx_ratio
-from .simulator import LANDSCAPE_DEFAULT_RESOLUTION, write_landscape_csv
+from .simulator import LANDSCAPE_DEFAULT_RANGE, LANDSCAPE_DEFAULT_RESOLUTION, _lattice_axes, write_landscape_csv
 
-DEFAULT_SEED = 0
 SEED_ENV_VAR = "QAOA_FIPSO_SEED"
 
-_INT_RANGE = re.compile(r"^(\d+)\.\.(\d+)$")
-_FLOAT_RANGE = re.compile(r"^(-?\d+(?:\.\d+)?)\.\.(-?\d+(?:\.\d+)?)$")
 
-
-def _parse_node_range(text: str) -> tuple[int, int]:
-    m = _INT_RANGE.match(text)
-    if not m:
-        raise argparse.ArgumentTypeError(f"expected lo..hi, got {text!r}")
-    return int(m.group(1)), int(m.group(2))
-
-
-def _parse_float_range(text: str) -> tuple[float, float]:
-    m = _FLOAT_RANGE.match(text)
-    if not m:
-        raise argparse.ArgumentTypeError(f"expected lo..hi, got {text!r}")
-    lo, hi = float(m.group(1)), float(m.group(2))
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise argparse.ArgumentTypeError(f"range bounds must be finite, got {text!r}")
-    if not lo < hi:
-        raise argparse.ArgumentTypeError(f"range must satisfy lo < hi, got {text!r}")
-    return lo, hi
+def _range(cast):
+    """LO..HI, split at its first "..", as (cast(LO), cast(HI)); the library checks the values."""
+    def parse(text: str) -> tuple:
+        lo, _, hi = text.partition("..")
+        try:
+            return cast(lo), cast(hi)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected LO..HI of two {cast.__name__} literals, got {text!r}") from None
+    return parse
 
 
 def _int_at_least(low: int):
@@ -67,7 +55,6 @@ def _int_at_least(low: int):
 
 _parse_seed = _int_at_least(0)
 _parse_count = _int_at_least(1)
-_parse_resolution = _int_at_least(2)
 
 
 def _parse_models(text: str) -> tuple[str, ...]:
@@ -96,9 +83,20 @@ def _output_path(flag: str, text: str) -> Path:
     return path
 
 
+@contextmanager
+def _flag_errors(**flags):
+    """A library ValueError as a UsageError naming the flag of the argument
+    its message starts with: flags[argument], else --argument."""
+    try:
+        yield
+    except ValueError as exc:
+        name = str(exc).split()[0]
+        raise UsageError(f"{flags.get(name, '--' + name.replace('_', '-'))}: {exc}")
+
+
 def _swarm_config(args, depths=()) -> SwarmConfig:
     """--config's swarm settings, its bounds checked at each of depths. The seed
-    is --seed, else the file's "seed", else QAOA_FIPSO_SEED, else DEFAULT_SEED."""
+    is --seed, else the file's "seed", else QAOA_FIPSO_SEED, else SwarmConfig's."""
     doc = {}
     try:
         if args.config is not None:
@@ -110,9 +108,10 @@ def _swarm_config(args, depths=()) -> SwarmConfig:
     except ValueError as exc:  # json.JSONDecodeError too; an OSError stays exit 1
         raise UsageError(f"{args.config}: {exc}")
     seed = args.seed
-    if seed is None and "seed" not in doc:
+    env_seed = os.environ.get(SEED_ENV_VAR)
+    if seed is None and "seed" not in doc and env_seed is not None:
         try:
-            seed = _parse_seed(os.environ.get(SEED_ENV_VAR, str(DEFAULT_SEED)))
+            seed = _parse_seed(env_seed)
         except argparse.ArgumentTypeError as exc:
             raise UsageError(f"{SEED_ENV_VAR}: {exc}")
     return swarm if seed is None else swarm.with_seed(seed)
@@ -126,15 +125,11 @@ def cmd_run_suite(args) -> int:
     _output_path("--out", str(sidecar))
     swarm = _swarm_config(args)
     lo, hi = args.nodes
-    try:
+    with _flag_errors(node_lo="--nodes", node_hi="--nodes", instances_per_size="--instances",
+                      bounds=args.config):
         cfg = SuiteConfig(models=args.models, node_lo=lo, node_hi=hi,
                           instances_per_size=args.instances, depths=args.depths,
                           base_seed=swarm.seed, swarm=swarm)
-    except ValueError as exc:  # the message starts with the field's name
-        field = str(exc).split()[0]
-        flag = {"node_lo": "--nodes", "node_hi": "--nodes", "instances_per_size": "--instances",
-                "bounds": args.config}
-        raise UsageError(f"{flag.get(field, '--' + field)}: {exc}")
 
     def progress(r):
         flag = f" [{r.flag}]" if r.flag else ""
@@ -175,6 +170,8 @@ def cmd_maxcut(args) -> int:
 
 
 def cmd_landscape(args) -> int:
+    with _flag_errors():  # before the graph is read, as argparse's own checks are
+        _lattice_axes(args.gamma_range, args.beta_range, args.resolution)
     _output_path("--out", args.out)
     g = read_graph(args.graph)
     write_landscape_csv(args.out, g, gamma_range=args.gamma_range,
@@ -198,52 +195,55 @@ def build_parser() -> argparse.ArgumentParser:
         prog="swarmcut",
         description="QAOA MaxCut angle optimization with an Adam-corrected particle swarm.")
     sub = parser.add_subparsers(dest="command", required=True)
+    suite = SuiteConfig()
 
     p_suite = sub.add_parser("run-suite", help="run the full graph sweep and persist records")
-    p_suite.add_argument("--models", type=_parse_models, default=("ER", "WS"),
-                         help="comma-separated subset of er,ws (default: er,ws)")
-    p_suite.add_argument("--nodes", type=_parse_node_range, default=(3, 16), metavar="LO..HI",
-                         help="inclusive node size range (default: 3..16)")
-    p_suite.add_argument("--depths", type=_parse_depths, default=(1, 2, 3),
-                         help="comma-separated circuit depths (default: 1,2,3)")
-    p_suite.add_argument("--instances", type=int, default=5,
-                         help="graph instances per size (default: 5)")
+    p_suite.add_argument("--models", type=_parse_models, default=suite.models,
+                         help=f"comma-separated subset of {','.join(MODELS).lower()} "
+                              f"(default: {','.join(suite.models).lower()})")
+    p_suite.add_argument("--nodes", type=_range(int), default=(suite.node_lo, suite.node_hi),
+                         metavar="LO..HI",
+                         help="inclusive node size range, each end a Python int literal "
+                              f"(default: {suite.node_lo}..{suite.node_hi})")
+    p_suite.add_argument("--depths", type=_parse_depths, default=suite.depths,
+                         help=f"comma-separated circuit depths (default: {','.join(map(str, suite.depths))})")
+    p_suite.add_argument("--instances", type=int, default=suite.instances_per_size,
+                         help=f"graph instances per size (default: {suite.instances_per_size})")
     p_suite.add_argument("--seed", type=_parse_seed, default=None, help="base seed for the whole suite")
     p_suite.add_argument("--out", default="results.csv", help="results CSV path (default: results.csv)")
     p_suite.add_argument("--config", default=None, help="swarm config JSON path")
     p_suite.add_argument("--jobs", type=_parse_count, default=1, help="parallel instance workers (default: 1)")
-    p_suite.set_defaults(func=cmd_run_suite)
+    p_suite.set_defaults(func=cmd_run_suite, usage_error=p_suite.error)
 
     p_opt = sub.add_parser("optimize", help="optimize the angles for one graph file")
     p_opt.add_argument("graph", help="graph JSON path")
     p_opt.add_argument("--depth", type=_parse_count, default=1, help="circuit depth p (default: 1)")
     p_opt.add_argument("--config", default=None, help="swarm config JSON path")
     p_opt.add_argument("--seed", type=_parse_seed, default=None, help="swarm seed")
-    p_opt.set_defaults(func=cmd_optimize)
+    p_opt.set_defaults(func=cmd_optimize, usage_error=p_opt.error)
 
     p_max = sub.add_parser("maxcut", help="brute-force MaxCut of a graph file")
     p_max.add_argument("graph", help="graph JSON path")
-    p_max.set_defaults(func=cmd_maxcut)
+    p_max.set_defaults(func=cmd_maxcut, usage_error=p_max.error)
 
     p_land = sub.add_parser("landscape", help="export the depth-1 expectation landscape")
     p_land.add_argument("graph", help="graph JSON path")
-    p_land.add_argument("--resolution", type=_parse_resolution, default=LANDSCAPE_DEFAULT_RESOLUTION,
+    p_land.add_argument("--resolution", type=int, default=LANDSCAPE_DEFAULT_RESOLUTION,
                         help=f"lattice points per axis (default: {LANDSCAPE_DEFAULT_RESOLUTION})")
-    p_land.add_argument("--gamma-range", type=_parse_float_range, default=(-math.pi, math.pi),
-                        metavar="LO..HI",
-                        help="gamma interval; write --gamma-range=-3.14..3.14 for "
-                             "negative bounds (default: -pi..pi)")
-    p_land.add_argument("--beta-range", type=_parse_float_range, default=(-math.pi, math.pi),
-                        metavar="LO..HI",
-                        help="beta interval; write --beta-range=-3.14..3.14 for "
-                             "negative bounds (default: -pi..pi)")
+    lo, hi = LANDSCAPE_DEFAULT_RANGE
+    for axis in ("gamma", "beta"):
+        p_land.add_argument(f"--{axis}-range", type=_range(float), default=LANDSCAPE_DEFAULT_RANGE,
+                            metavar="LO..HI",
+                            help=f"{axis} interval, each end a Python float literal, as in "
+                                 f"--{axis}-range=.5..1; a negative bound needs the = form, as in "
+                                 f"--{axis}-range=-.5..1 (default: {lo:g}..{hi:g})")
     p_land.add_argument("--out", default="landscape.csv", help="output CSV path")
-    p_land.set_defaults(func=cmd_landscape)
+    p_land.set_defaults(func=cmd_landscape, usage_error=p_land.error)
 
     p_rep = sub.add_parser("report", help="aggregate a results CSV into improvement tables")
     p_rep.add_argument("results", help="results CSV produced by run-suite")
     p_rep.add_argument("--csv-out", default=None, help="also write the tables as CSV")
-    p_rep.set_defaults(func=cmd_report)
+    p_rep.set_defaults(func=cmd_report, usage_error=p_rep.error)
 
     return parser
 
@@ -254,7 +254,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except UsageError as exc:
-        parser.error(str(exc))
+        args.usage_error(str(exc))
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

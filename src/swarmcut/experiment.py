@@ -14,6 +14,7 @@ import json
 import math
 import multiprocessing.context
 import os
+import typing
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -253,15 +254,16 @@ def _worker_pool(jobs: int) -> ProcessPoolExecutor:
 
 
 def iter_suite(cfg: SuiteConfig, jobs: int = 1):
-    """Yield the record of every cell of the sweep as soon as it is done, in
-    canonical order (model, graph_index, n, p) regardless of the worker count."""
+    """Check jobs, then return an iterator that runs each cell of the sweep as its record is
+    pulled, in canonical order (model, graph_index, n, p) for any worker count."""
     jobs = check_int("jobs", jobs, 1)
     tasks = [(model, g_idx, n, p, cfg) for model, g_idx, n, p in cfg.cells()]
-    if jobs == 1:
-        yield from map(_run_cell, tasks)
-    else:
-        with _worker_pool(jobs) as executor:
-            yield from executor.map(_run_cell, tasks)
+    return map(_run_cell, tasks) if jobs == 1 else _pooled(jobs, tasks)
+
+
+def _pooled(jobs: int, tasks):
+    with _worker_pool(jobs) as executor:
+        yield from executor.map(_run_cell, tasks)
 
 
 def run_suite(cfg: SuiteConfig, jobs: int = 1) -> list[ExperimentRecord]:
@@ -291,13 +293,11 @@ def write_records_json(path, records) -> None:
         f.write("\n")
 
 
-_COLUMN_TYPES = {"graph_index": int, "n": int, "p": int, "max_cut": int, "classical_cut": int,
-                 "rand_cut": float, "rand_ar": float, "opt_cut": float, "opt_ar": float, "opt_loss": float,
-                 "improvement_pct": float, "graph_seed": int, "baseline_seed": int, "swarm_seed": int}
-
-
 def read_records_csv(path) -> list[dict]:
-    """Parse a results CSV back into typed dicts, validating the schema."""
+    """Parse a results CSV back into dicts, validating the schema: each numeric
+    column is cast to the type ExperimentRecord declares for it, text stays as read."""
+    casts = {col: cast for col, cast in typing.get_type_hints(ExperimentRecord).items()
+             if col in CSV_COLUMNS and cast is not str}
     # utf-8-sig drops the byte-order mark a spreadsheet's "CSV UTF-8" starts with.
     with open(path, "r", encoding="utf-8-sig", newline="") as f:
         reader = csv.DictReader(f)
@@ -307,7 +307,7 @@ def read_records_csv(path) -> list[dict]:
             raise ValueError(f"results CSV is missing column(s): {', '.join(missing)}")
         rows = []
         for row in reader:
-            for col, cast in _COLUMN_TYPES.items():
+            for col, cast in casts.items():
                 try:
                     row[col] = cast(row[col])
                 except (TypeError, ValueError):  # TypeError: a short row's missing value is None

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from swarmcut import Graph, generate_er, write_graph
@@ -124,21 +125,38 @@ class TestLandscape:
         assert lines[0] == "gamma,beta,expectation"
         assert len(lines) == 1 + 4
 
-    def test_grid_containing_origin(self, graph_file, tmp_path):
-        out = tmp_path / "land.csv"
-        assert main(["landscape", graph_file("k3.json", K3), "--resolution", "3",
-                     "--gamma-range=-1..1", "--beta-range=-1..1",
-                     "--out", str(out)]) == 0
+    @staticmethod
+    def _axes(out):
         rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
-        origin = [r for r in rows if float(r[0]) == 0.0 and float(r[1]) == 0.0]
-        assert len(origin) == 1
-        assert abs(float(origin[0][2]) - K3.edge_count / 2) < 1e-12
+        return sorted({float(r[0]) for r in rows}), sorted({float(r[1]) for r in rows})
+
+    def test_grid_containing_origin(self, graph_file, tmp_path):
+        # Each end of a range is a Python float literal, so -.5 reads as -0.5.
+        out = tmp_path / "land.csv"
+        for gamma, beta in [("-1..1", "-1..1"), ("-.5..0.5", "-1..1"), ("-1..1", "-.5..0.5")]:
+            assert main(["landscape", graph_file("k3.json", K3), "--resolution", "3",
+                         f"--gamma-range={gamma}", f"--beta-range={beta}",
+                         "--out", str(out)]) == 0
+            rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+            origin = [r for r in rows if float(r[0]) == 0.0 and float(r[1]) == 0.0]
+            assert len(origin) == 1
+            assert abs(float(origin[0][2]) - K3.edge_count / 2) < 1e-12
+            assert self._axes(out) == (np.linspace(*map(float, gamma.split("..")), 3).tolist(),
+                                       np.linspace(*map(float, beta.split("..")), 3).tolist())
 
     def test_row_count_is_resolution_squared(self, graph_file, tmp_path):
         out = tmp_path / "land.csv"
         assert main(["landscape", graph_file("c4.json", C4),
                      "--resolution", "5", "--out", str(out)]) == 0
         assert len(out.read_text().splitlines()) == 1 + 25
+        for flag, text, lo, hi in [("--gamma-range", ".5..1", 0.5, 1.0), ("--beta-range", ".5..1", 0.5, 1.0),
+                                   ("--gamma-range", "1e-3..1", 0.001, 1.0),
+                                   ("--beta-range", "1e-3..1", 0.001, 1.0)]:
+            assert main(["landscape", graph_file("c4.json", C4), "--resolution", "5",
+                         f"{flag}={text}", "--out", str(out)]) == 0
+            assert len(out.read_text().splitlines()) == 1 + 25
+            axis = self._axes(out)[flag == "--beta-range"]
+            assert axis == np.linspace(lo, hi, 5).tolist()
 
     def test_graph_beyond_enumeration_cap(self, graph_file, tmp_path):
         # The landscape needs no cut spectrum, so the 24-node cap does not apply.
@@ -162,11 +180,15 @@ class TestLandscape:
         assert sorted(tmp_path.iterdir()) == [tmp_path / "sub"]
         assert list((tmp_path / "sub").iterdir()) == []
 
-    def test_bad_range_syntax_is_usage_error(self, graph_file, tmp_path):
-        with pytest.raises(SystemExit) as exc:
-            main(["landscape", graph_file("k3.json", K3),
-                  "--gamma-range", "oops", "--out", str(tmp_path / "x.csv")])
-        assert exc.value.code == 2
+    def test_bad_range_syntax_is_usage_error(self, graph_file, tmp_path, capsys):
+        for flag in ("--gamma-range", "--beta-range"):
+            for text in ("oops", "1", "1..", "..1", "1..2..3", "0x1..2"):
+                with pytest.raises(SystemExit) as exc:
+                    main(["landscape", graph_file("k3.json", K3),
+                          f"{flag}={text}", "--out", str(tmp_path / "x.csv")])
+                assert exc.value.code == 2
+                assert f"{flag}: expected LO..HI of two float literals, got {text!r}" in capsys.readouterr().err
+                assert not (tmp_path / "x.csv").exists()
 
     @pytest.mark.parametrize("resolution", ["1", "0", "-4", "two"])
     def test_bad_resolution_is_usage_error(self, graph_file, tmp_path, capsys, resolution):
@@ -179,18 +201,29 @@ class TestLandscape:
         assert not out.exists()
 
     def test_overflowing_range_is_usage_error(self, graph_file, tmp_path, capsys):
-        # A bound past the float range parsed as inf and gave NaN rows, exit 0.
-        with pytest.raises(SystemExit) as exc:
-            main(["landscape", graph_file("k3.json", K3), "--gamma-range=0.." + "9" * 400,
-                  "--out", str(tmp_path / "x.csv")])
-        assert exc.value.code == 2
-        assert "--gamma-range" in capsys.readouterr().err
+        # A bound past the float range parsed as inf and gave NaN rows, exit 0;
+        # float() reads "nan" and "inf" too, which the library rejects the same way.
+        for flag in ("--gamma-range", "--beta-range"):
+            for text in ("0.." + "9" * 400, "nan..1", "inf..1", "-inf..0"):
+                with pytest.raises(SystemExit) as exc:
+                    main(["landscape", graph_file("k3.json", K3), f"{flag}={text}",
+                          "--out", str(tmp_path / "x.csv")])
+                assert exc.value.code == 2
+                assert f"{flag}: " in capsys.readouterr().err
+                assert not (tmp_path / "x.csv").exists()
 
-    def test_inverted_range_is_usage_error(self, graph_file, tmp_path):
-        with pytest.raises(SystemExit) as exc:
-            main(["landscape", graph_file("k3.json", K3),
-                  "--gamma-range", "2..-2", "--out", str(tmp_path / "x.csv")])
-        assert exc.value.code == 2
+    def test_inverted_range_is_usage_error(self, graph_file, tmp_path, capsys):
+        # A range the library rejects is a usage error even when the graph file
+        # is missing: it is checked before the graph is read.
+        graphs = (graph_file("k3.json", K3), str(tmp_path / "missing.json"))
+        for graph in graphs:
+            for flag in ("--gamma-range", "--beta-range"):
+                for text in ("2..-2", "1..1", "nan..1"):
+                    with pytest.raises(SystemExit) as exc:
+                        main(["landscape", graph, f"{flag}={text}", "--out", str(tmp_path / "x.csv")])
+                    assert exc.value.code == 2
+                    assert f"{flag}: " in capsys.readouterr().err
+                    assert not (tmp_path / "x.csv").exists()
 
 
 class TestRunSuite:
@@ -261,10 +294,12 @@ class TestRunSuite:
         assert exc.value.code == 2
         assert f"--jobs: expected an integer >= 1, got {shown}\n" in capsys.readouterr().err
 
-    def test_bad_node_range_is_usage_error(self):
-        with pytest.raises(SystemExit) as exc:
-            main(["run-suite", "--nodes", "3-4"])
-        assert exc.value.code == 2
+    def test_bad_node_range_is_usage_error(self, capsys):
+        for text in ("3-4", "3..4.0", "3.0..4", "3..x"):
+            with pytest.raises(SystemExit) as exc:
+                main(["run-suite", "--nodes", text])
+            assert exc.value.code == 2
+            assert f"--nodes: expected LO..HI of two int literals, got {text!r}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command, extra, flag", [
         ("run-suite", ["--instances", "0"], "--instances"),

@@ -205,6 +205,15 @@ class TestRunSuite:
             assert len(calls) == len(pulled)
         assert pulled == run_suite(SMALL_SUITE)
 
+    @pytest.mark.parametrize("jobs", [0, 1.0])
+    def test_bad_jobs_raises_before_the_csv_is_opened(self, tmp_path, jobs):
+        # jobs is checked at the call, so the writer never opens (and truncates) its file.
+        path = tmp_path / "r.csv"
+        path.write_text("kept\n")
+        with pytest.raises(ValueError, match=r"^jobs must be an integer >= 1"):
+            write_records_csv(path, iter_suite(SMALL_SUITE, jobs=jobs))
+        assert path.read_text() == "kept\n"
+
     def test_default_suite_has_420_cells(self):
         assert len(SuiteConfig().cells()) == 420
 

@@ -362,7 +362,7 @@ COUNT_SITES = [
     ("instances_per_size", lambda v: SuiteConfig(instances_per_size=v)),
     ("depths", lambda v: SuiteConfig(depths=(v,))),
     ("base_seed", lambda v: SuiteConfig(base_seed=v)),
-    ("jobs", lambda v: next(iter_suite(_ONE_CELL, jobs=v))),
+    ("jobs", lambda v: iter_suite(_ONE_CELL, jobs=v)),
 ]
 
 # Every library entry that takes a real number, as (argument name, call).
