@@ -164,13 +164,23 @@ def make_objective(ev: ExpectationEvaluator, c_target: float,
 
 
 def finite_diff_grad(f: Callable[[np.ndarray], float], theta, h: float) -> np.ndarray:
-    """Central differences per dimension, 2*dim evaluations of f."""
+    """Central differences per dimension, 2*dim evaluations of f.
+
+    A theta of even length 2p is probed one layer's (gamma_k, beta_k) pair at
+    a time from k = p down to 1: an ExpectationEvaluator then resumes every
+    probe of layer k from the layers before it, and of the probes of layer p
+    only the first simulates more than one layer. Each probe's value does not
+    depend on the order, so neither does the gradient. Other lengths are
+    probed in index order.
+    """
     if h <= 0:
         raise ValueError(f"step must be positive, got {h}")
     theta = np.asarray(theta, dtype=np.float64)
     grad = np.empty_like(theta)
     probe = theta.copy()
-    for d in range(theta.size):
+    p, odd = divmod(theta.size, 2)
+    order = range(theta.size) if odd else [d for k in reversed(range(p)) for d in (k, p + k)]
+    for d in order:
         probe[d] = theta[d] + h
         f_plus = f(probe)
         probe[d] = theta[d] - h

@@ -78,8 +78,11 @@ class ExpectationEvaluator:
     thousands of parameter vectors without reallocating state-sized arrays.
     Each layer buffer comes with its _statevec.MixerPlan, checked and built
     when the buffer is allocated, and a layer's phase product goes where
-    that plan reads, so no layer copies its result back. Every result is
-    bit-identical to simulating all p layers afresh.
+    that plan reads, so no layer copies its result back. The buffers hold
+    the half state in the plan's frame (for n > FOLD_QUBITS + 1 the real
+    frame of _statevec, whose amplitudes differ from the plain half state's
+    by factors i^popcount(z)), and the first layer starts from the plan's
+    |+>^n. Every result is bit-identical to simulating all p layers afresh.
 
     Every function that evaluates a graph builds the evaluator it uses, and
     none is passed between functions; adam_fipso_optimize's loss and its
@@ -94,7 +97,6 @@ class ExpectationEvaluator:
         self._values = 2.0 * self._indices
         self._phase_exponents = -1j * np.arange(int(self.spectrum.max(initial=0)) + 1, dtype=np.float64)
         self._scratch = np.empty(half, dtype=np.complex128)
-        self._init_amp = 1.0 / math.sqrt(1 << g.n)
         # The first _depth of _layers hold the half state after layers 1..k+1
         # at angles (_gammas[k], _betas[k]); row k of _tables is the phase
         # table of _gammas[k]; _plans[k] mixes _layers[k] through _scratch.
@@ -132,7 +134,7 @@ class ExpectationEvaluator:
                 self._gammas = gammas
             self._betas = betas
             if start == 0:
-                layers[0].fill(self._init_amp)
+                plans[0].start(layers[0])
             for k in range(start, p):
                 # The phase product goes where the layer's mixer reads its
                 # input, so that the mixer's last product lands in layers[k].

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from swarmcut import Graph, SwarmConfig, adam_fipso_optimize
+from swarmcut import Graph, SwarmConfig, adam_fipso_optimize, generate_er
 from swarmcut.optimizer import (
     MODES,
     adam_update,
@@ -103,6 +103,35 @@ class TestFiniteDiffGrad:
         calls = []
         finite_diff_grad(lambda t: calls.append(1) or 0.0, np.zeros(4), 1e-3)
         assert len(calls) == 8
+
+    @pytest.mark.parametrize("size, order", [
+        (1, [0]), (2, [0, 1]), (3, [0, 1, 2]), (4, [1, 3, 0, 2]), (6, [2, 5, 1, 4, 0, 3])])
+    def test_probe_order(self, size, order):
+        # (gamma_k, beta_k) from the deepest layer up; odd lengths in index order.
+        probed = []
+
+        def record(t):
+            probed.append(int(np.flatnonzero(t)[0]))
+            return 0.0
+
+        finite_diff_grad(record, np.zeros(size), 1e-3)
+        assert probed == [d for d in order for _ in "+-"]
+
+    @pytest.mark.parametrize("n", [5, 9])
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_layer_order_gives_the_index_order_gradient(self, n, p):
+        g = generate_er(n, 0.5, seed=n)
+        rng = np.random.default_rng(10 * n + p)
+        loss = make_objective(ExpectationEvaluator(g), 3.0, 1.0)
+        fresh = make_objective(ExpectationEvaluator(g), 3.0, 1.0)
+        for _ in range(3):
+            theta, h = rng.uniform(-np.pi, np.pi, 2 * p), 1e-3
+            expected = np.empty(2 * p)
+            for d in range(2 * p):
+                step = np.zeros(2 * p)
+                step[d] = h
+                expected[d] = (fresh(theta + step) - fresh(theta - step)) / (2.0 * h)
+            np.testing.assert_array_equal(finite_diff_grad(loss, theta, h), expected)
 
 
 class TestSwarmInfluenceGrad:

@@ -37,12 +37,31 @@ def symmetric_state(n, seed):
     return state / np.linalg.norm(state)
 
 
+def frame(n):
+    """phi[z] / psi[z] for the half state a MixerPlan of n qubits keeps: 1 for
+    a folded layer, i^popcount(z) in the real frame of the _statevec module
+    docstring above FOLD_QUBITS half-state qubits."""
+    z = np.arange(1 << (n - 1))
+    if n - 1 <= _statevec.FOLD_QUBITS:
+        return np.ones(z.size)
+    popcount = sum((z >> q) & 1 for q in range(n - 1))
+    return np.array([1, 1j, -1, -1j])[popcount % 4]
+
+
+def mix_through_plan(half, n, beta, plan):
+    """exp(-i*beta*X) on the symmetric n-qubit state whose half is half,
+    through plan, which was built for half: the plain half state goes into
+    the plan's frame, and the result lands in half, back out of it."""
+    to_frame = frame(n)
+    np.copyto(plan.source, to_frame * half)
+    _statevec.apply_mixer(half, n, beta, plan)
+    half *= to_frame.conj()
+
+
 def mix_half(half, n, beta):
     """exp(-i*beta*X) on the symmetric n-qubit state whose half is half,
-    through a MixerPlan; the result lands in half."""
-    plan = _statevec.MixerPlan(half, np.empty_like(half))
-    np.copyto(plan.source, half)
-    _statevec.apply_mixer(half, n, beta, plan)
+    through a MixerPlan of its own; the result lands in half."""
+    mix_through_plan(half, n, beta, _statevec.MixerPlan(half, np.empty_like(half)))
 
 
 def phase_half(half, values, gamma):
@@ -107,9 +126,9 @@ class TestCutSpectrum:
 
 class TestInitPlusState:
     """The evaluator starts from |+>^n: every amplitude of the half state is
-    2^(-n/2). At zero angles a layer is exactly the identity (its phase table
-    is 1 and its mixer matrices hold only 1 and 0), so a depth-1 call leaves
-    that state in its first layer."""
+    2^(-n/2), held in its plan's frame. At zero angles a layer is exactly the
+    identity (its phase table is 1 and its mixer matrices hold only 1 and
+    0), so a depth-1 call leaves that state in its first layer."""
 
     @staticmethod
     def initial_half(n):
@@ -129,6 +148,13 @@ class TestInitPlusState:
     def test_capacity(self):
         with pytest.raises(CapacityError):
             ExpectationEvaluator(Graph(25, ()))
+
+    # n <= 6 folds; n = 7, 12 and 16 start in the real frame, n = 16 over
+    # four blocks.
+    @pytest.mark.parametrize("n", [1, 2, 6, 7, 12, 16])
+    def test_zero_angles_leave_the_start(self, n):
+        np.testing.assert_array_equal(self.initial_half(n) * frame(n).conj(),
+                                      np.full(1 << (n - 1), 1 / math.sqrt(1 << n)))
 
     def test_empty_angles_rejected(self):
         # As in QaoaParams: a circuit has at least one layer.
@@ -188,8 +214,8 @@ class TestMixerLayer:
             mix_half(state, 1, beta)
             np.testing.assert_allclose(state, [np.exp(-1j * beta) / math.sqrt(2)], rtol=0, atol=1e-15)
 
-    # n = 3 folds the layer into one product; n = 8, 12 and 13 chain one to
-    # three groups, ending on either buffer, and then reverse the top qubit.
+    # n = 3 folds the layer into one product; n = 8, 12 and 13 take two to
+    # four real products, ending on either buffer, and reverse the top qubit.
     @pytest.mark.parametrize("n", [3, 8, 12, 13])
     def test_in_place(self, n):
         state = symmetric_state(n, n)
@@ -316,7 +342,8 @@ class TestBitFlipSymmetry:
             value = ev.expectation(gamma, beta)
             assert abs(value - dense_expectation(n, g.edges, gamma, beta)) < 1e-12
             dense = dense_state(n, g.edges, gamma, beta)
-            np.testing.assert_allclose(ev._layers[len(gamma) - 1], dense[:1 << (n - 1)], rtol=0, atol=1e-12)
+            half = ev._layers[len(gamma) - 1] * frame(n).conj()
+            np.testing.assert_allclose(half, dense[:1 << (n - 1)], rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("n", [1, 2, 5, 10])
     def test_buffers_hold_half_the_amplitudes(self, n):
@@ -426,7 +453,9 @@ class TestPrefixReuse:
         monkeypatch.setattr(_statevec, "apply_mixer", apply_mixer)
         assert ev.expectation(gamma, beta) == self.fresh(g, gamma, beta)
 
-    @pytest.mark.parametrize("p, layers", [(1, 4), (2, 14), (3, 28)])
+    # The probes go deepest layer first: at p = 3 one full simulation, three
+    # of layer 3 alone, four of layers 2..3 and four of all three layers.
+    @pytest.mark.parametrize("p, layers", [(1, 4), (2, 13), (3, 26)])
     def test_fd_gradient_mixer_layer_count(self, monkeypatch, p, layers):
         calls = []
         apply_mixer = _statevec.apply_mixer
@@ -680,14 +709,15 @@ class TestReduction:
 class TestGroupMixerMemo:
     def test_read_only_and_equal_to_uncached_build(self):
         # Folded layers up to FOLD_QUBITS = 5 half-state qubits; qubits 6..9
-        # chain groups of 4 + 2, 4 + 3, 4 + 4 and 4 + 4 + 1 qubits.
-        for qubits in range(1, 2 * _statevec.GROUP_QUBITS + 2):
+        # take real groups of 4 + 3, 4 + 4, 3 + 3 + 3 and 4 + 3 + 3 float
+        # index bits.
+        for qubits in range(1, 2 * _statevec.GROUP_BITS + 2):
             fold = qubits <= _statevec.FOLD_QUBITS
             for beta in (0.0, 0.61, -2.3):
                 matrices = _statevec._layer_matrices(qubits, beta)
                 assert _statevec._layer_matrices(qubits, beta) is matrices
                 fresh = _statevec._layer_matrices.__wrapped__(qubits, beta)
-                sizes = [qubits] if fold else _statevec._groups(qubits)
+                sizes = [qubits] if fold else [k for k, _ in _statevec._groups(qubits)]
                 assert [m.shape for m in matrices] == [(1 << k, 1 << k) for k in sizes]
                 assert len(fresh) == len(matrices)
                 for m, expected in zip(matrices, fresh):
@@ -756,11 +786,11 @@ class TestLightConeOracle:
 
 class TestMixerKernel:
     """Half plans on symmetric states against two independent references,
-    compared on the half: the dense Kronecker product up to n = 9, and
-    per-qubit butterflies beyond the dense matrix up to n = 17. Folded
-    layers run to n = FOLD_QUBITS + 1 = 6; n = 7..17 chain 2 to 4 groups with
-    remainders of 0 to 3 qubits, odd and even group counts, before the
-    top-qubit reversal."""
+    compared on the plain half state: the dense Kronecker product up to
+    n = 9, and per-qubit butterflies beyond the dense matrix up to n = 18.
+    Folded layers run to n = FOLD_QUBITS + 1 = 6; n = 7..14 take 2 to 4
+    real products in one block, odd and even counts, and n = 15..18 two to
+    sixteen blocks and 1 to 4 qubits above them."""
 
     @staticmethod
     def check_half_plan(n, reference, seed, betas):
@@ -771,8 +801,7 @@ class TestMixerKernel:
         assert plan.fold == (n - 1 <= _statevec.FOLD_QUBITS)
         for beta in betas:
             state = reference(state, beta)
-            np.copyto(plan.source, half)
-            _statevec.apply_mixer(half, n, beta, plan)
+            mix_through_plan(half, n, beta, plan)
             np.testing.assert_allclose(half, state[:size], rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("n", range(1, 10))
@@ -791,6 +820,41 @@ class TestMixerKernel:
         betas = np.random.default_rng(177 + n).uniform(-np.pi, np.pi, 2)
         self.check_half_plan(n, lambda state, beta: qubitwise_mixer(state, n, beta), 177 + n, betas)
 
+    # cos(beta) or sin(beta) is 0 or nearly so at these angles, and the
+    # reversal reads tan(beta). n = 14..18 leave 0 to 4 qubits above the
+    # 2^13-amplitude blocks.
+    @pytest.mark.parametrize("n", [2, 6, 7, 8, 13, 14, 15, 16, 17, 18])
+    def test_special_angles_match_qubitwise_oracle(self, n):
+        betas = [0.0, math.pi / 2, -math.pi / 2, math.pi, 0.37]
+        self.check_half_plan(n, lambda state, beta: qubitwise_mixer(state, n, beta), 277 + n, betas)
+
+    @pytest.mark.parametrize("n", range(7, 21))
+    def test_every_product_fits_one_blas_thread(self, n):
+        # OpenBLAS runs a GEMM of at most 2^18 multiply-adds on one thread.
+        half = np.zeros(1 << (n - 1), dtype=complex)
+        plan = _statevec.MixerPlan(half, np.empty_like(half))
+        matrices = _statevec._layer_matrices(n - 1, 0.3)
+        steps = [step for steps, _ in plan.blocks for step in steps] + list(plan.top)
+        for src, dst, j in steps:
+            rows, inner = src.shape[-2:]
+            assert inner == matrices[j].shape[0] and dst.shape == src.shape
+            assert rows * inner * matrices[j].shape[1] <= 1 << 18
+
+    def test_group_matrices_are_rotation_products(self):
+        # Each group's matrix, against a Kronecker product of
+        # R = [[cos, -sin], [sin, cos]], with I_2 on float index bit 0 and the
+        # layer's factor cos(beta) in that group, transposed for the product
+        # from the right.
+        for qubits in (6, 9, 13, 16):
+            for beta in (0.0, 0.61, -2.3, math.pi / 2):
+                c, s = math.cos(beta), math.sin(beta)
+                rotation = np.array([[c, -s], [s, c]])
+                for (k, bit0), m in zip(_statevec._groups(qubits), _statevec._layer_matrices(qubits, beta)):
+                    expected = np.ones((1, 1))
+                    for factor in [rotation] * (k - bit0) + [np.eye(2)] * bit0:
+                        expected = np.kron(expected, factor)
+                    np.testing.assert_allclose(m, (c if bit0 else 1.0) * expected.T, rtol=0, atol=1e-15)
+
     # A half plan folds at n = 3 and chains groups plus the top qubit above.
     # ExpectationEvaluator mixes its layer buffers through one shared
     # scratch: mixing the second buffer must leave the first one's result.
@@ -803,8 +867,7 @@ class TestMixerKernel:
         scratch = np.empty_like(halves[0])
         for state, half, beta in zip(states, halves, (-1.3, 0.6)):
             plan = _statevec.MixerPlan(half, scratch if shared_scratch else np.empty_like(half))
-            np.copyto(plan.source, half)
-            _statevec.apply_mixer(half, n, beta, plan)
+            mix_through_plan(half, n, beta, plan)
             state[:] = qubitwise_mixer(state, n, beta)
         for state, half in zip(states, halves):
             np.testing.assert_allclose(half, state[:size], rtol=0, atol=1e-12)
@@ -840,6 +903,12 @@ class TestMixerKernel:
     def test_size_other_than_half_rejected(self, size):
         state = np.zeros(size, dtype=complex)
         with pytest.raises(ValueError, match="2\\^m amplitudes"):
+            _statevec.MixerPlan(state, np.empty_like(state))
+
+    def test_single_precision_above_the_fold_rejected(self):
+        # The real frame multiplies the complex128 state's float64 view.
+        state = np.zeros(1 << 6, dtype=np.complex64)
+        with pytest.raises(ValueError, match="complex128"):
             _statevec.MixerPlan(state, np.empty_like(state))
 
     def test_strided_state(self):
