@@ -8,11 +8,15 @@ this checkout's. For every n = 3..20 (or ``--nodes LO..HI``) each source is
 timed ROUNDS times, each time in a fresh interpreter, the sources
 alternating, so the speed drift of a shared machine falls on all of them
 alike. A round's timing is the median of REPEATS repeats, each the mean
-over enough calls to last at least 0.2 s; the table holds the median over
-rounds. The graph is G(n, 0.5) with seed 0 and the angles are fixed. The
-layer is one p = 3 evaluator call whose beta_3 alternates between two
-values, so every call redoes exactly its last layer on the half state: the
-phase product, the mixer and the reduction. The expectation alternates two
+over enough calls to last at least 0.2 s; each cell of the table holds
+the median over rounds and, as its spread, the lowest and highest round.
+Two sources that are one checkout (``--src a=src --src b=src``) give the
+table's noise floor: a difference between sources means something only
+where it is wider than theirs and the spreads do not overlap. The graph is
+G(n, 0.5) with seed 0 and the angles are fixed. The layer is one p = 3
+evaluator call whose beta_3 alternates between two values, so every call
+redoes exactly its last layer on the half state: the phase product, the
+mixer and the reduction. The expectation alternates two
 angle vectors that differ in gamma_1, so every call simulates all three
 layers; the gradient is one central finite-difference gradient of
 ExpectationEvaluator.expectation, 12 expectations in the optimizer's probe
@@ -46,7 +50,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 NODES = range(3, 21)
 REPEATS = 7
-ROUNDS = 3
+ROUNDS = 5
 GAMMA = (0.41, -0.73, 1.12)
 GAMMA_ALT = (0.47, -0.73, 1.12)
 BETA = (0.29, 0.57, -0.38)
@@ -59,6 +63,14 @@ def _median_us(fn) -> float:
     timer = timeit.Timer(fn)
     number, _ = timer.autorange()
     return statistics.median(timer.repeat(REPEATS, number)) / number * 1e6
+
+
+def _cell(key: str, rounds: list[float]) -> dict:
+    """A table cell: the median of the rounds and their spread, at 0.1 us
+    resolution in every column, ms ones included."""
+    digits = 4 if key.endswith("_ms") else 1
+    return {"median": round(statistics.median(rounds), digits),
+            "min": round(min(rounds), digits), "max": round(max(rounds), digits)}
 
 
 def measure(n: int) -> dict:
@@ -123,9 +135,7 @@ def main(argv=None) -> int:
                                      check=True, capture_output=True, text=True).stdout
                 for key, value in json.loads(out).items():
                     samples.setdefault(key, {}).setdefault(label, []).append(value)
-        # 0.1 us resolution in every column, ms ones included.
-        row = {"n": n, **{key: {label: round(statistics.median(v), 4 if key.endswith("_ms") else 1)
-                                for label, v in by_label.items()}
+        row = {"n": n, **{key: {label: _cell(key, v) for label, v in by_label.items()}
                           for key, by_label in samples.items()}}
         rows.append(row)
         print(json.dumps(row), file=sys.stderr)
@@ -142,8 +152,8 @@ def main(argv=None) -> int:
         "what": "us per p = 3 evaluator call that redoes its last layer, per full p = 3 "
                 "expectation, per p = 3 finite-difference gradient (12 expectations) and "
                 "per p = 3 particle step at fresh angles (gradient plus position "
-                "evaluation), and ms per 64 x 64 depth-1 landscape_grid, median over "
-                f"{ROUNDS} alternating rounds of the median of {REPEATS} repeats, "
+                "evaluation), and ms per 64 x 64 depth-1 landscape_grid: median, min and "
+                f"max over {ROUNDS} alternating rounds of the median of {REPEATS} repeats, "
                 "G(n, 0.5) seed 0",
         "machine": {"cpu": cpu, "nproc": os.cpu_count(),
                     "python": platform.python_version(), "numpy": np.__version__,

@@ -89,7 +89,9 @@ thread count or on what the other cores do.
 
 The frame takes a few block-sized vectors per qubit count, built once: tau,
 and the start as the product of a column over the qubits above the blocks
-and a row over the block's.
+and a row over the block's. A half state of one block keeps that product
+whole (_start), as a folded one keeps its uniform start, so the first layer
+reads it from there and no call writes the start into a buffer.
 
 The state ping-pongs between the caller's array and a scratch buffer of the
 same size, one step at a time (a product, or a block's top-qubit step). A
@@ -151,11 +153,11 @@ def _flips(k: int) -> np.ndarray:
 
 @functools.cache
 def _rotation_index(k: int, holds_bit0: bool) -> np.ndarray:
-    """Entry (a, b) indexes _rotation_weights for entry (b, a) of a group's
-    real matrix, the transpose that multiplies from the right: 2h + (d & 1)
-    with h and d of the module docstring counted over the group's qubit bits,
-    and the trailing zero weight where a group holding bit 0 would mix the
-    real and imaginary parts."""
+    """Entry (a, b) indexes the group's segment of _rotation_weights for
+    entry (b, a) of its real matrix, the transpose that multiplies from the
+    right: 2h + (d & 1) with h and d of the module docstring counted over the
+    group's qubit bits, and the segment's trailing zero weight where a group
+    holding bit 0 would mix the real and imaginary parts."""
     index = np.arange(1 << k)
     a, b = index[:, None], index
     shift = int(holds_bit0)
@@ -165,16 +167,20 @@ def _rotation_index(k: int, holds_bit0: bool) -> np.ndarray:
     return _read_only(table)
 
 
-def _rotation_weights(qubits: int, beta: float, holds_bit0: bool) -> np.ndarray:
-    """[c^(q-h) s^h, -c^(q-h) s^h for h = 0..q] and a trailing 0, with
-    c = cos(beta) and s = sin(beta), and one factor c more for the group that
-    holds bit 0, a block's last product."""
+def _rotation_weights(segments: tuple[tuple[int, bool], ...], beta: float) -> np.ndarray:
+    """The weight vector of one layer's real matrices, with c = cos(beta) and
+    s = sin(beta): for each (qubits, holds_bit0) of segments in turn,
+    [c^(q-h) s^h, -c^(q-h) s^h for h = 0..q] over its q = qubits, with one
+    factor c more for the group that holds bit 0 (a block's last product),
+    and a trailing 0."""
     cos_b, sin_b = math.cos(beta), math.sin(beta)
     weights = []
-    for h in range(qubits + 1):
-        w = cos_b ** (qubits - h + holds_bit0) * sin_b ** h
-        weights += [w, -w]
-    return np.array(weights + [0.0])
+    for qubits, holds_bit0 in segments:
+        for h in range(qubits + 1):
+            w = cos_b ** (qubits - h + holds_bit0) * sin_b ** h
+            weights += [w, -w]
+        weights.append(0.0)
+    return np.array(weights)
 
 
 def _mixer_weights(k: int, beta: float) -> list[complex]:
@@ -209,6 +215,24 @@ def _groups(qubits: int) -> tuple[tuple[int, bool], ...]:
 
 
 @functools.cache
+def _rotation_layout(qubits: int) -> tuple[tuple[tuple[int, bool], ...], tuple[np.ndarray, ...], tuple[int, ...]]:
+    """How a layer on a half state of qubits > FOLD_QUBITS qubits gathers its
+    matrices from one _rotation_weights vector: the segments of that vector,
+    one per distinct group of _groups(qubits); each distinct group's
+    _rotation_index, offset to its segment; and, per group in product order,
+    which distinct matrix it takes."""
+    segments, tables, distinct = [], [], {}
+    at = 0
+    for k, holds_bit0 in _groups(qubits):
+        if (k, holds_bit0) not in distinct:
+            distinct[k, holds_bit0] = len(tables)
+            segments.append((k - holds_bit0, holds_bit0))
+            tables.append(_read_only(_rotation_index(k, holds_bit0) + at))
+            at += 2 * (k - holds_bit0 + 1) + 1
+    return tuple(segments), tuple(tables), tuple(distinct[group] for group in _groups(qubits))
+
+
+@functools.cache
 def _frame(qubits: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(tau, upper, lower) of the real frame on a half state of qubits qubits,
     split at bit l = min(qubits, BLOCK_QUBITS): tau[z] = (-i)^(m+1)
@@ -230,6 +254,17 @@ def _frame(qubits: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return _read_only(tau), _read_only(upper), _read_only(lower)
 
 
+@functools.cache
+def _start(qubits: int) -> np.ndarray:
+    """|+>^n on a half state of at most BLOCK_QUBITS qubits, in the frame of
+    its MixerPlan, read-only: 2^(-n/2) everywhere for a folded layer, and
+    above, the product of _frame's upper (then a single 1) and lower."""
+    if qubits <= FOLD_QUBITS:
+        return _read_only(np.full(1 << qubits, 1.0 / math.sqrt(1 << (qubits + 1)), dtype=complex))
+    _, upper, lower = _frame(qubits)
+    return _read_only(np.multiply(upper, lower).reshape(-1))
+
+
 # One entry holds a layer's matrices. A p = 3 finite-difference gradient uses
 # 9 distinct betas, and an evaluator uses one qubit count.
 @functools.lru_cache(maxsize=32)
@@ -237,17 +272,15 @@ def _layer_matrices(qubits: int, beta: float) -> tuple[np.ndarray, ...]:
     """The matrices of one mixer layer on a half state of qubits qubits, in
     product order: up to FOLD_QUBITS the folded U, gathered from
     _mixer_weights; above, the transposed real matrix of each group of
-    _groups(qubits), each gathered from _rotation_weights. Memoised, so
-    every matrix is read-only."""
+    _groups(qubits), gathered from one _rotation_weights vector through
+    _rotation_layout. Memoised, so every matrix is read-only."""
     if qubits <= FOLD_QUBITS:
         w = _mixer_weights(qubits + 1, beta)
         return _read_only(np.array([w[h] + w[-1 - h] for h in range(qubits + 1)])[_flips(qubits)]),
-    built = {}
-    for k, holds_bit0 in _groups(qubits):
-        if (k, holds_bit0) not in built:
-            built[k, holds_bit0] = _read_only(_rotation_weights(k - holds_bit0, beta, holds_bit0)
-                                              [_rotation_index(k, holds_bit0)])
-    return tuple(built[group] for group in _groups(qubits))
+    segments, tables, order = _rotation_layout(qubits)
+    weights = _rotation_weights(segments, beta)
+    built = [_read_only(weights[table]) for table in tables]
+    return tuple(built[i] for i in order)
 
 
 class MixerPlan:
@@ -326,14 +359,15 @@ class MixerPlan:
             low <<= k
         self.top = tuple(top)
 
-    def start(self, out: np.ndarray) -> None:
-        """Write the circuit's initial state |+>^n, in this plan's frame, into
-        the half state out."""
-        if self.fold:
-            out.fill(1.0 / math.sqrt(1 << self.n))
-            return
+    def start(self, out: np.ndarray) -> np.ndarray:
+        """The circuit's initial state |+>^n as a half state in this plan's
+        frame: up to BLOCK_QUBITS qubits, a read-only array shared by every
+        plan of that size; above, out, after writing it there."""
+        if self.qubits <= BLOCK_QUBITS:
+            return _start(self.qubits)
         _, upper, lower = _frame(self.qubits)
         np.multiply(upper, lower, out=out.reshape(upper.size, lower.size))
+        return out
 
 
 def apply_mixer(amps: np.ndarray, n: int, beta: float, plan: MixerPlan) -> None:

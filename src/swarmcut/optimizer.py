@@ -202,15 +202,22 @@ def swarm_influence_grad(theta, pbest_positions: np.ndarray, c: float, rng) -> n
 
 def adam_update(m, v2, t: int, grad, beta1: float, beta2: float,
                 eta: float, epsilon: float):
-    """One adaptive-moment step at step count t. Returns (step, new_m, new_v2);
-    subtracting step descends grad."""
-    grad = np.asarray(grad, dtype=np.float64)
-    m_new = beta1 * m + (1.0 - beta1) * grad
-    v2_new = beta2 * v2 + (1.0 - beta2) * grad * grad
-    m_hat = m_new / (1.0 - beta1 ** t)
-    v2_hat = v2_new / (1.0 - beta2 ** t)
-    step = eta * m_hat / (np.sqrt(v2_hat) + epsilon)
-    return step, m_new, v2_new
+    """One adaptive-moment step at step count t. Returns (step, new_m, new_v2)
+    as arrays; subtracting step descends grad.
+
+    The step runs on Python floats, one dimension at a time: on 2p angles
+    that takes half the time of a dozen NumPy calls, with the same IEEE
+    operations in the same order, so the same bits.
+    """
+    bias1, bias2 = 1.0 - beta1 ** t, 1.0 - beta2 ** t
+    step, m_new, v2_new = [], [], []
+    for m_d, v2_d, g in zip(m.tolist(), v2.tolist(), np.asarray(grad, dtype=np.float64).tolist()):
+        m_d = beta1 * m_d + (1.0 - beta1) * g
+        v2_d = beta2 * v2_d + (1.0 - beta2) * g * g
+        step.append(eta * (m_d / bias1) / (math.sqrt(v2_d / bias2) + epsilon))
+        m_new.append(m_d)
+        v2_new.append(v2_d)
+    return np.array(step), np.array(m_new), np.array(v2_new)
 
 
 def random_params(p: int, rng) -> np.ndarray:
@@ -273,7 +280,9 @@ def minimize(f: Callable[[np.ndarray], float], bounds, cfg: SwarmConfig) -> Opti
                     moments[i], moments2[i], t, grad,
                     cfg.adam_beta1, cfg.adam_beta2, cfg.eta, cfg.epsilon)
                 cand = cand - step
-            np.clip(cand, lo, hi, out=cand)
+            # np.clip's bits at under half its per-call cost on 2p angles.
+            np.maximum(cand, lo, out=cand)
+            np.minimum(cand, hi, out=cand)
             velocities[i] = cand - positions[i]
             positions[i] = cand
             loss = evaluate(cand)

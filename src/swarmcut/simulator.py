@@ -72,8 +72,11 @@ class ExpectationEvaluator:
     It also keeps the half state after each layer of its last call, with
     that call's angles, and starts the next call from the first layer whose
     (gamma_k, beta_k) differ: a finite-difference probe of layer k reuses
-    layers 1..k-1 of the probe before it. The phase tables are rebuilt only
-    when the gammas change. A depth-p call thus holds p layer buffers and
+    layers 1..k-1 of the probe before it. Each layer keeps its phase row,
+    exp(-i*gamma_k*c) for every cut size c, with the gamma_k it was built
+    for, and a row is rebuilt only when its layer's gamma changes: a probe of
+    gamma_k, or the restore after it, rebuilds row k alone, and a probe of a
+    beta rebuilds none. A depth-p call thus holds p layer buffers and
     one scratch buffer, allocated once, so an optimizer can evaluate
     thousands of parameter vectors without reallocating state-sized arrays.
     Each layer buffer comes with its _statevec.MixerPlan, checked and built
@@ -81,8 +84,10 @@ class ExpectationEvaluator:
     that plan reads, so no layer copies its result back. The buffers hold
     the half state in the plan's frame (for n > FOLD_QUBITS + 1 the real
     frame of _statevec, whose amplitudes differ from the plain half state's
-    by factors i^popcount(z)), and the first layer starts from the plan's
-    |+>^n. Every result is bit-identical to simulating all p layers afresh.
+    by factors i^popcount(z)), and the first layer's phase product reads the
+    plan's |+>^n: up to n = BLOCK_QUBITS + 1 a read-only half state that
+    _statevec keeps once per size, above it written into the first layer
+    buffer. Every result is bit-identical to simulating all p layers afresh.
 
     Every function that evaluates a graph builds the evaluator it uses, and
     none is passed between functions; adam_fipso_optimize's loss and its
@@ -98,27 +103,27 @@ class ExpectationEvaluator:
         self._phase_exponents = -1j * np.arange(int(self.spectrum.max(initial=0)) + 1, dtype=np.float64)
         self._scratch = np.empty(half, dtype=np.complex128)
         # The first _depth of _layers hold the half state after layers 1..k+1
-        # at angles (_gammas[k], _betas[k]); row k of _tables is the phase
-        # table of _gammas[k]; _plans[k] mixes _layers[k] through _scratch.
+        # at angles (_rows[k][0], _betas[k]); _rows[k] is (gamma, its phase
+        # row) of the last gamma layer k took; _plans[k] mixes _layers[k]
+        # through _scratch.
         self._layers: list[np.ndarray] = []
         self._plans: list[_statevec.MixerPlan] = []
-        self._gammas: list[float] = []
+        self._rows: list[tuple[float, np.ndarray | None]] = []
         self._betas: list[float] = []
         self._depth = 0
-        self._tables = None
 
     def expectation(self, gamma, beta) -> float:
-        gamma = np.asarray(gamma, dtype=np.float64)
         # Python float copies: the caller may change its arrays after the call.
-        gammas, betas = gamma.tolist(), np.asarray(beta, dtype=np.float64).tolist()
+        gammas = np.asarray(gamma, dtype=np.float64).tolist()
+        betas = np.asarray(beta, dtype=np.float64).tolist()
         p = len(gammas)
         if len(betas) != p or p == 0:
             raise ValueError(f"gamma and beta must be equal-length non-empty vectors, "
                              f"got {p} and {len(betas)} angles")
-        layers, plans, scratch = self._layers, self._plans, self._scratch
-        kept_g, kept_b = self._gammas, self._betas
+        layers, plans, rows, scratch = self._layers, self._plans, self._rows, self._scratch
+        kept_b = self._betas
         start, depth = 0, min(p, self._depth)
-        while start < depth and gammas[start] == kept_g[start] and betas[start] == kept_b[start]:
+        while start < depth and gammas[start] == rows[start][0] and betas[start] == kept_b[start]:
             start += 1
         if start < p:
             # Forget the layers about to be overwritten first, so that a call
@@ -127,19 +132,17 @@ class ExpectationEvaluator:
             while len(layers) < p:
                 layers.append(np.empty_like(scratch))
                 plans.append(_statevec.MixerPlan(layers[-1], scratch))
-            if gammas != kept_g:
-                # exp(-i*gamma_k*c) for every layer k and cut size c; probes of
-                # a beta keep the gammas of the call before them.
-                self._tables = np.exp(np.multiply.outer(gamma, self._phase_exponents))
-                self._gammas = gammas
+                rows.append((math.nan, None))
             self._betas = betas
-            if start == 0:
-                plans[0].start(layers[0])
             for k in range(start, p):
+                if rows[k][0] != gammas[k]:
+                    # One store of (gamma, row), so a row never pairs with
+                    # another gamma, even after an interrupt.
+                    rows[k] = gammas[k], np.exp(gammas[k] * self._phase_exponents)
                 # The phase product goes where the layer's mixer reads its
                 # input, so that the mixer's last product lands in layers[k].
-                _statevec.apply_phase_table(layers[max(k - 1, 0)], self._indices, self._tables[k],
-                                            plans[k].source)
+                amps = layers[k - 1] if k else plans[0].start(layers[0])
+                _statevec.apply_phase_table(amps, self._indices, rows[k][1], plans[k].source)
                 _statevec.apply_mixer(layers[k], self.n, betas[k], plans[k])
             self._depth = p
         return _statevec.expectation_value(layers[p - 1], self._values)

@@ -468,6 +468,25 @@ class TestCommittedSweep:
         expected_docs = [by_key[r.model, r.graph_index, r.n, r.p] for r in records]
         assert (tmp_path / "r.json").read_bytes() == dump(expected_docs).encode()
 
+    def test_paper_sweep_reproduces_above_the_fold(self, tmp_path):
+        # The same check on the 12 cells with n = 7, 8, whose half states of
+        # 6 and 7 qubits run the real frame above FOLD_QUBITS.
+        cfg = SuiteConfig(node_lo=7, node_hi=8, instances_per_size=1, base_seed=0)
+        records = write_records_csv(tmp_path / "r.csv", run_suite(cfg))
+        write_records_json(tmp_path / "r.json", records)
+        assert len(records) == 12
+
+        header, *rows = (RESULTS / "full_sweep_seed0.csv").read_text(encoding="utf-8").splitlines(True)
+        committed_rows = {tuple(row.split(",")[:4]): row for row in rows}
+        expected = [committed_rows[(r.model, str(r.graph_index), str(r.n), str(r.p))] for r in records]
+        assert (tmp_path / "r.csv").read_bytes() == (header + "".join(expected)).encode()
+
+        by_key = {(d["model"], d["graph_index"], d["n"], d["p"]): d
+                  for d in json.loads((RESULTS / "full_sweep_seed0.json").read_text(encoding="utf-8"))}
+        expected_docs = [by_key[r.model, r.graph_index, r.n, r.p] for r in records]
+        assert (tmp_path / "r.json").read_bytes() == (json.dumps(expected_docs, indent=2, sort_keys=True)
+                                                       + "\n").encode()
+
 
 def test_public_names_pinned():
     import swarmcut

@@ -187,6 +187,30 @@ class TestAdamUpdate:
                                  beta1=0.0, beta2=0.0, eta=1.0, epsilon=1e-15)
         np.testing.assert_allclose(step, [1.0], atol=1e-9)
 
+    def test_matches_vector_formula(self):
+        # The NumPy formula adam_update used to run, as the oracle: the float
+        # step must give the same bits, as arrays.
+        def vector_adam(m, v2, t, grad, beta1, beta2, eta, epsilon):
+            grad = np.asarray(grad, dtype=np.float64)
+            m_new = beta1 * m + (1.0 - beta1) * grad
+            v2_new = beta2 * v2 + (1.0 - beta2) * grad * grad
+            m_hat = m_new / (1.0 - beta1 ** t)
+            v2_hat = v2_new / (1.0 - beta2 ** t)
+            step = eta * m_hat / (np.sqrt(v2_hat) + epsilon)
+            return step, m_new, v2_new
+
+        rng = np.random.default_rng(25)
+        for _ in range(2000):
+            dim, t = int(rng.integers(1, 7)), int(rng.integers(1, 51))
+            grad = rng.choice([-1.0, 1.0], dim) * 10.0 ** rng.uniform(-8, 2, dim)
+            m = rng.normal(size=dim) * 10.0 ** rng.uniform(-8, 2, dim)
+            v2 = rng.uniform(0, 1, dim) * 10.0 ** rng.uniform(-16, 4, dim)
+            args = (t, grad, 0.9, 0.999, 0.05, 1e-8)
+            got = adam_update(m, v2, *args)
+            for value, expected in zip(got, vector_adam(m, v2, *args), strict=True):
+                assert isinstance(value, np.ndarray)
+                assert value.tobytes() == expected.tobytes()
+
     def test_second_moment_non_negative(self):
         rng = np.random.default_rng(9)
         m = np.zeros(3)
