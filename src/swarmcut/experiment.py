@@ -12,8 +12,7 @@ import csv
 import hashlib
 import json
 import math
-import multiprocessing.context
-import os
+import multiprocessing
 import typing
 import warnings
 from concurrent.futures import ProcessPoolExecutor
@@ -228,31 +227,6 @@ def _run_cell(args):
         return _error_record(model, graph_index, n, p, exc)
 
 
-class _WorkerProcess(multiprocessing.context.SpawnProcess):
-    """A spawned sweep worker that starts with OPENBLAS_NUM_THREADS=1, so
-    OpenBLAS reads it when the worker imports NumPy and the workers do not
-    oversubscribe the CPU. The parent's own value is back once it has started."""
-
-    def start(self):
-        saved = os.environ.get("OPENBLAS_NUM_THREADS")
-        os.environ["OPENBLAS_NUM_THREADS"] = "1"
-        try:
-            super().start()
-        finally:
-            if saved is None:
-                del os.environ["OPENBLAS_NUM_THREADS"]
-            else:
-                os.environ["OPENBLAS_NUM_THREADS"] = saved
-
-
-class _WorkerContext(multiprocessing.context.SpawnContext):
-    Process = _WorkerProcess
-
-
-def _worker_pool(jobs: int) -> ProcessPoolExecutor:
-    return ProcessPoolExecutor(max_workers=jobs, mp_context=_WorkerContext())
-
-
 def iter_suite(cfg: SuiteConfig, jobs: int = 1):
     """Check jobs, then return an iterator that runs each cell of the sweep as its record is
     pulled, in canonical order (model, graph_index, n, p) for any worker count."""
@@ -262,7 +236,7 @@ def iter_suite(cfg: SuiteConfig, jobs: int = 1):
 
 
 def _pooled(jobs: int, tasks):
-    with _worker_pool(jobs) as executor:
+    with ProcessPoolExecutor(max_workers=jobs, mp_context=multiprocessing.get_context("spawn")) as executor:
         yield from executor.map(_run_cell, tasks)
 
 

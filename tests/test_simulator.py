@@ -678,9 +678,9 @@ for n, points in json.load(sys.stdin):
 
 class TestReduction:
     def test_bits_independent_of_blas_threads(self):
-        # run-suite --jobs N workers run OpenBLAS with one thread and the
-        # parent process with its default, so every value must come out the
-        # same under both. Half states of n = 15, 16 exceed one chunk.
+        # Results must not depend on the BLAS thread count, so every value
+        # must come out the same on one OpenBLAS thread as on the default.
+        # Half states of n = 15, 16 exceed one chunk.
         rng = np.random.default_rng(1516)
         cases = [(n, rng.uniform(-np.pi, np.pi, (8, 2, 3)).tolist()) for n in (15, 16)]
         src = str(Path(_statevec.__file__).resolve().parents[1])
