@@ -10,9 +10,13 @@ alternating, so the speed drift of a shared machine falls on all of them
 alike. A round's timing is the median of REPEATS repeats, each the mean
 over enough calls to last at least 0.2 s; each cell of the table holds
 the median over rounds and, as its spread, the lowest and highest round.
+With two sources or more, each source after the first also gets a paired
+ratio: per round, its time over the first source's in the same round,
+with the median, lowest and highest over rounds. The two run one after the
+other, so drift that spreads the rounds largely cancels in their ratio.
 Two sources that are one checkout (``--src a=src --src b=src``) give the
 table's noise floor: a difference between sources means something only
-where it is wider than theirs and the spreads do not overlap. The graph is
+where its ratio's spread excludes 1 and is wider than theirs. The graph is
 G(n, 0.5) with seed 0 and the angles are fixed. The layer is one p = 3
 evaluator call whose beta_3 alternates between two values, so every call
 redoes exactly its last layer on the half state: the phase product, the
@@ -65,12 +69,20 @@ def _median_us(fn) -> float:
     return statistics.median(timer.repeat(REPEATS, number)) / number * 1e6
 
 
-def _cell(key: str, rounds: list[float]) -> dict:
-    """A table cell: the median of the rounds and their spread, at 0.1 us
-    resolution in every column, ms ones included."""
-    digits = 4 if key.endswith("_ms") else 1
-    return {"median": round(statistics.median(rounds), digits),
-            "min": round(min(rounds), digits), "max": round(max(rounds), digits)}
+def _spread(values: list[float], digits: int) -> dict:
+    return {"median": round(statistics.median(values), digits),
+            "min": round(min(values), digits), "max": round(max(values), digits)}
+
+
+def _cells(key: str, by_label: dict[str, list[float]]) -> dict:
+    """A column's cells: per source, the median of the rounds and their
+    spread, at 0.1 us resolution in every column, ms ones included; after
+    the first source, also the spread of its per-round ratio to the first."""
+    rounds = list(by_label.values())
+    cells = {label: _spread(v, 4 if key.endswith("_ms") else 1) for label, v in by_label.items()}
+    for label, v in list(by_label.items())[1:]:
+        cells[label]["ratio"] = _spread([a / b for a, b in zip(v, rounds[0], strict=True)], 3)
+    return cells
 
 
 def measure(n: int) -> dict:
@@ -135,8 +147,7 @@ def main(argv=None) -> int:
                                      check=True, capture_output=True, text=True).stdout
                 for key, value in json.loads(out).items():
                     samples.setdefault(key, {}).setdefault(label, []).append(value)
-        row = {"n": n, **{key: {label: _cell(key, v) for label, v in by_label.items()}
-                          for key, by_label in samples.items()}}
+        row = {"n": n, **{key: _cells(key, by_label) for key, by_label in samples.items()}}
         rows.append(row)
         print(json.dumps(row), file=sys.stderr)
 
@@ -154,7 +165,8 @@ def main(argv=None) -> int:
                 "per p = 3 particle step at fresh angles (gradient plus position "
                 "evaluation), and ms per 64 x 64 depth-1 landscape_grid: median, min and "
                 f"max over {ROUNDS} alternating rounds of the median of {REPEATS} repeats, "
-                "G(n, 0.5) seed 0",
+                "and for each source after the first, ratio: median, min and max over rounds "
+                "of its time over the first source's in the same round; G(n, 0.5) seed 0",
         "machine": {"cpu": cpu, "nproc": os.cpu_count(),
                     "python": platform.python_version(), "numpy": np.__version__,
                     "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS")},

@@ -11,61 +11,60 @@ Each kernel has one call form, and the caller owns every buffer it passes:
 apply_mixer takes a MixerPlan, apply_phase_table an output array. The
 evaluator builds its buffers and plans once.
 
-Folded layers. For halves of at most FOLD_QUBITS qubits the whole layer, top
-qubit included, is one product with the 2^m x 2^m matrix U below.
-Write c = cos(beta), s = -i*sin(beta) and h(a, b) = popcount(a XOR b); the
-n-qubit mixer has entries w[h(a, b)], w[h] = c^(n-h) s^h. For a < 2^m,
-
-    half'[a] = sum_b c^(n-h(a,b)) s^h(a,b) half[b]
-             + sum_b c^(n-h(a,b')) s^h(a,b') a(b'),  b' = b | 2^m,
-
-over b < 2^m. Since a(b') = a(~b') = half[b ^ (2^m - 1)], substituting
-b -> b ^ (2^m - 1) turns the second sum's flip count into
-h(a, b ^ (2^m - 1)) + 1 = (m - h(a, b)) + 1 = n - h(a, b). So
-
-    U[a, b] = u[h(a, b)],  u[h] = w[h] + w[n-h],
-
-a symmetric matrix. A 2^m x 2^m matrix costs 4^m complex products per
-layer and a fresh build per new beta, so folding pays only while m is
-small. FOLD_QUBITS comes from the particle-step column of
-benchmarks/kernel_table.py, which charges those builds.
-
-The real frame. A larger half state is kept in the frame phi = S^(x m) psi,
+The real frame. Every half state is kept in the frame phi = S^(x m) psi,
 S = diag(1, i) on each of its m qubits, so phi[z] = i^popcount(z) psi[z].
-On one qubit, now with c = cos(beta) and s = sin(beta),
+On one qubit, with c = cos(beta) and s = sin(beta),
 
     exp(-i*beta*X) = S^dagger R S,  R = [[c, -s], [s, c]],
 
-so in the frame the mixer of qubits 0..m-1 is the real R^(x m). S
-commutes with the diagonal cost phase and |phi[z]| = |psi[z]|, so the phase
-product and the reduction read either frame alike. Two steps see the frame:
+so in the frame the mixer of qubits 0..m-1 is the real R^(x m). Entry
+(a, b) of R^(x k) is c^(k-h) s^h (-1)^d, with h = popcount(a XOR b) and
+d = popcount(~a & b), since R's entry from 1 to 0 is -s. S commutes with
+the diagonal cost phase and |phi[z]| = |psi[z]|, so the phase product and
+the reduction read either frame alike. |+>^n is 2^(-n/2) everywhere, so in
+the frame it is 2^(-n/2) i^popcount(z) (MixerPlan.start). The frame is
+the same at every size; FOLD_QUBITS only picks how a layer is computed.
 
-- The start. |+>^n is 2^(-n/2) everywhere, so in the frame it is
-  2^(-n/2) i^popcount(z) (MixerPlan.start).
-- The top qubit. It maps psi[z] to c psi[z] - i s psi[~z], with ~z =
-  2^m - 1 - z. Let u be the state after the products on qubits 0..m-1. Since
-  popcount(~z) = m - popcount(z),
+Folded layers. For halves of at most FOLD_QUBITS qubits the whole layer,
+top qubit included, is one product with a 2^m x 2^m matrix. On the full
+state the mixer's entry (a, b) is c^(n-h) (-i s)^h. A column b | 2^m,
+b < 2^m, meets the amplitude a(~(b | 2^m)) = half[b ^ (2^m - 1)], which
+lies h(a, b ^ (2^m - 1)) + 1 = n - h flips from a, so the half state's
+entry (a, b) adds c^h (-i s)^(n-h). In the frame entry (a, b) gains
+i^(popcount(a) - popcount(b)) = i^(h - 2d) = (-1)^d i^h, so the folded
+matrix S U S^dagger has the entries
 
-      phi'[z] = c u[z] + s tau[z] u[~z],
-      tau[z] = -i * i^popcount(z) * i^-(m - popcount(z))
-             = (-i)^(m+1) (-1)^popcount(z).
+    (-1)^d [c^(n-h) s^h + (-i)^n (-1)^h c^h s^(n-h)],
 
-  The products and this step commute, so it runs right after a block's
-  products (below), before the qubits above the blocks. The block's last
-  product matrix carries the factor c, so the products leave y = c u, and
-  the step is y + tan(beta) tau y[~z]. A double is never an odd multiple of
-  pi/2, so c is never 0, and tan(beta) c u costs one rounding more than s u.
+one value per h up to sign, gathered like a real group's matrix
+(_rotation_index) and likewise transposed for the product from the right.
+A 2^m x 2^m matrix costs 4^m complex products per layer and a fresh build
+per new beta, so folding pays only while m is small. FOLD_QUBITS comes
+from the particle-step column of benchmarks/kernel_table.py, which charges
+those builds.
+
+The top qubit above the fold. It maps psi[z] to c psi[z] - i s psi[~z],
+with ~z = 2^m - 1 - z. Let u be the state after the products on qubits
+0..m-1. Since popcount(~z) = m - popcount(z),
+
+    phi'[z] = c u[z] + s tau[z] u[~z],
+    tau[z] = -i * i^popcount(z) * i^-(m - popcount(z))
+           = (-i)^(m+1) (-1)^popcount(z).
+
+The products and this step commute, so it runs right after a block's
+products (below), before the qubits above the blocks. The block's last
+product matrix carries the factor c, so the products leave y = c u, and
+the step is y + tan(beta) tau y[~z]. A double is never an odd multiple of
+pi/2, so c is never 0, and tan(beta) c u costs one rounding more than s u.
 
 Real products. The float64 view of the half state has index 2z + r, with
 r = 0 for the real part and 1 for the imaginary one: float index bit 0 is
 r, and bit q + 1 is qubit q. A real matrix acts on both parts alike, so
 R^(x m) is R^(x m) (x) I_2 on the m + 1 float index bits. It is applied a
 group of k bits at a time, as one 2^k x 2^k real product: R^(x k), or
-R^(x (k-1)) (x) I_2 for the group that holds bit 0. Entry (a, b) of R^(x k)
-is c^(k-h) s^h (-1)^d, with h = popcount(a XOR b) and d = popcount(~a & b),
-since R's entry from 1 to 0 is -s. A k-qubit group then costs 2^(k+1) real
-multiply-adds per amplitude, where a complex product costs 4 * 2^k: half
-the work.
+R^(x (k-1)) (x) I_2 for the group that holds bit 0. A k-qubit group then
+costs 2^(k+1) real multiply-adds per amplitude, where a complex product
+costs 4 * 2^k: half the work.
 
 Blocks. The half state splits into blocks of 2^BLOCK_QUBITS amplitudes
 (128 KiB), l = BLOCK_QUBITS of its qubits (fewer in a smaller state). Block
@@ -90,8 +89,8 @@ thread count or on what the other cores do.
 The frame takes a few block-sized vectors per qubit count, built once: tau,
 and the start as the product of a column over the qubits above the blocks
 and a row over the block's. A half state of one block keeps that product
-whole (_start), as a folded one keeps its uniform start, so the first layer
-reads it from there and no call writes the start into a buffer.
+whole (_start), so the first layer reads it from there and no call writes
+the start into a buffer.
 
 The state ping-pongs between the caller's array and a scratch buffer of the
 same size, one step at a time (a product, or a block's top-qubit step). A
@@ -144,20 +143,13 @@ def _popcount(x: np.ndarray) -> np.ndarray:
 
 
 @functools.cache
-def _flips(k: int) -> np.ndarray:
-    """Entry (a, b) is popcount(a XOR b) for a, b < 2^k: how many of k qubits
-    the folded matrix's entry flips. One table per qubit count, built once."""
-    index = np.arange(1 << k)
-    return _read_only(_popcount(index[:, None] ^ index))
-
-
-@functools.cache
 def _rotation_index(k: int, holds_bit0: bool) -> np.ndarray:
-    """Entry (a, b) indexes the group's segment of _rotation_weights for
-    entry (b, a) of its real matrix, the transpose that multiplies from the
-    right: 2h + (d & 1) with h and d of the module docstring counted over the
-    group's qubit bits, and the segment's trailing zero weight where a group
-    holding bit 0 would mix the real and imaginary parts."""
+    """Entry (a, b) indexes the group's segment of _rotation_weights, or a
+    folded layer's weights, for entry (b, a) of its matrix, the transpose
+    that multiplies from the right: 2h + (d & 1) with h and d of the module
+    docstring counted over the group's qubit bits, and the segment's
+    trailing zero weight where a group holding bit 0 would mix the real and
+    imaginary parts."""
     index = np.arange(1 << k)
     a, b = index[:, None], index
     shift = int(holds_bit0)
@@ -181,13 +173,6 @@ def _rotation_weights(segments: tuple[tuple[int, bool], ...], beta: float) -> np
             weights += [w, -w]
         weights.append(0.0)
     return np.array(weights)
-
-
-def _mixer_weights(k: int, beta: float) -> list[complex]:
-    """w[h] = cos(beta)^(k-h) * (-i*sin(beta))^h for h = 0..k: the entry of
-    exp(-i*beta*X) on k qubits between two indices h of whose bits differ."""
-    cos_b, s = math.cos(beta), -1j * math.sin(beta)
-    return [cos_b ** (k - h) * s ** h for h in range(k + 1)]
 
 
 def _split(bits: int, most: int = GROUP_BITS) -> list[int]:
@@ -256,11 +241,9 @@ def _frame(qubits: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 @functools.cache
 def _start(qubits: int) -> np.ndarray:
-    """|+>^n on a half state of at most BLOCK_QUBITS qubits, in the frame of
-    its MixerPlan, read-only: 2^(-n/2) everywhere for a folded layer, and
-    above, the product of _frame's upper (then a single 1) and lower."""
-    if qubits <= FOLD_QUBITS:
-        return _read_only(np.full(1 << qubits, 1.0 / math.sqrt(1 << (qubits + 1)), dtype=complex))
+    """|+>^n in the real frame on a half state of at most BLOCK_QUBITS
+    qubits, read-only: the product of _frame's upper (a single 1) and
+    lower."""
     _, upper, lower = _frame(qubits)
     return _read_only(np.multiply(upper, lower).reshape(-1))
 
@@ -270,13 +253,20 @@ def _start(qubits: int) -> np.ndarray:
 @functools.lru_cache(maxsize=32)
 def _layer_matrices(qubits: int, beta: float) -> tuple[np.ndarray, ...]:
     """The matrices of one mixer layer on a half state of qubits qubits, in
-    product order: up to FOLD_QUBITS the folded U, gathered from
-    _mixer_weights; above, the transposed real matrix of each group of
+    product order, each transposed for the product from the right: up to
+    FOLD_QUBITS the folded matrix of the module docstring, gathered through
+    _rotation_index(qubits, False); above, the real matrix of each group of
     _groups(qubits), gathered from one _rotation_weights vector through
     _rotation_layout. Memoised, so every matrix is read-only."""
     if qubits <= FOLD_QUBITS:
-        w = _mixer_weights(qubits + 1, beta)
-        return _read_only(np.array([w[h] + w[-1 - h] for h in range(qubits + 1)])[_flips(qubits)]),
+        n, cos_b, sin_b = qubits + 1, math.cos(beta), math.sin(beta)
+        turn = (1, -1j, -1, 1j)[n % 4]  # (-i)^n
+        weights = []
+        for h in range(n):
+            w = cos_b ** (n - h) * sin_b ** h + turn * (-1) ** h * cos_b ** h * sin_b ** (n - h)
+            weights += [w, -w]
+        # complex even where (-i)^n is real: a float64 matrix would be cast on every product.
+        return _read_only(np.array(weights, dtype=complex)[_rotation_index(qubits, False)]),
     segments, tables, order = _rotation_layout(qubits)
     weights = _rotation_weights(segments, beta)
     built = [_read_only(weights[table]) for table in tables]
@@ -289,12 +279,12 @@ class MixerPlan:
     neither the buffer checks nor the reshapes again.
 
     amps is the contiguous 1-D array of the 2^(n-1) amplitudes with qubit
-    n-1 at 0 of a bit-flip-symmetric n-qubit state, which fixes n; above
-    FOLD_QUBITS half-state qubits it holds them in the real frame. scratch is
-    a contiguous 1-D array of the same shape and dtype that shares no memory
-    with amps; apply_mixer overwrites it. source is the array a layer reads
-    its input from: amps itself, or scratch when the layer takes an odd
-    number of steps, so that the last one lands in amps. blocks holds, per
+    n-1 at 0 of a bit-flip-symmetric n-qubit state, which fixes n, as
+    complex128 in the real frame. scratch is a contiguous 1-D array of the
+    same shape and dtype that shares no memory with amps; apply_mixer
+    overwrites it. source is the array a layer reads its input from: amps
+    itself, or scratch when the layer takes an odd number of steps, so that
+    the last one lands in amps (a folded layer is one step). blocks holds, per
     mirror pair of blocks, the pair's products as (input, output, index into
     the layer's matrices) and its top-qubit steps as (mirror block reversed,
     output, block, np.add or np.subtract); top holds the products above the
@@ -312,14 +302,14 @@ class MixerPlan:
         qubits = amps.size.bit_length() - 1
         if qubits < 0 or amps.size != 1 << qubits:
             raise ValueError(f"a half state has 2^m amplitudes, not {amps.size}")
+        if amps.dtype != np.complex128:
+            raise ValueError("a half state must be complex128")
         self.amps, self.n, self.scratch, self.qubits = amps, qubits + 1, scratch, qubits
         self.fold = qubits <= FOLD_QUBITS
         if self.fold:
             # One matrix-vector product, from scratch into amps.
             self.source, self.blocks, self.top, self.tau, self.tan_tau = scratch, (), (), None, None
             return
-        if amps.dtype != np.complex128:
-            raise ValueError("a half state above the folded sizes must be complex128")
         self.tau = _frame(qubits)[0]
         self.tan_tau = np.empty_like(self.tau)
         groups = _groups(qubits)
@@ -382,8 +372,8 @@ def apply_mixer(amps: np.ndarray, n: int, beta: float, plan: MixerPlan) -> None:
         raise ValueError("the mixer plan was built for another state")
     matrices = _layer_matrices(plan.qubits, beta)
     if plan.fold:
-        # np.dot's matrix-vector path costs half of matmul's at these sizes.
-        np.dot(matrices[0], plan.scratch, out=amps)
+        # np.dot's vector-matrix path costs half of matmul's at these sizes.
+        np.dot(plan.scratch, matrices[0], out=amps)
         return
     np.multiply(plan.tau, math.tan(beta), out=plan.tan_tau)
     for steps, reversals in plan.blocks:

@@ -251,6 +251,9 @@ def read_graph(path) -> Graph:
             raise GraphParseError(f"{path}: line {e.lineno}: {e.msg}") from e
     if not isinstance(doc, dict) or "n" not in doc or "edges" not in doc:
         raise GraphParseError(f"{path}: expected an object with 'n' and 'edges'")
+    unknown = sorted(doc.keys() - {"n", "edges"})
+    if unknown:
+        raise GraphParseError(f"{path}: unknown graph key {unknown[0]!r}")
     if not isinstance(doc["edges"], list):
         raise GraphParseError(f"{path}: 'edges' must be a list, got {doc['edges']!r}")
     try:

@@ -302,6 +302,8 @@ def adam_fipso_optimize(g: Graph, p: int, c_target: float, cfg: SwarmConfig) -> 
     """Optimize the 2p QAOA angles of g against a classical target cut. The
     loss and best_expectation share one ExpectationEvaluator of g, built here."""
     p = check_int("p", p, 1)
+    if g.edge_count == 0:
+        raise ValueError("the swarm is undefined for an edgeless graph: its loss is constant")
     ev = ExpectationEvaluator(g)
     result = minimize(make_objective(ev, c_target, cfg.lambda_), cfg.box(p), cfg)
     result.best_expectation = ev.expectation(result.best_position[:p], result.best_position[p:])

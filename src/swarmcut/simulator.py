@@ -82,12 +82,11 @@ class ExpectationEvaluator:
     Each layer buffer comes with its _statevec.MixerPlan, checked and built
     when the buffer is allocated, and a layer's phase product goes where
     that plan reads, so no layer copies its result back. The buffers hold
-    the half state in the plan's frame (for n > FOLD_QUBITS + 1 the real
-    frame of _statevec, whose amplitudes differ from the plain half state's
-    by factors i^popcount(z)), and the first layer's phase product reads the
-    plan's |+>^n: up to n = BLOCK_QUBITS + 1 a read-only half state that
-    _statevec keeps once per size, above it written into the first layer
-    buffer. Every result is bit-identical to simulating all p layers afresh.
+    the half state in the real frame of _statevec, whose amplitudes differ
+    from the plain half state's by factors i^popcount(z), at every n, and
+    the first layer's phase product reads the plan's |+>^n: up to
+    n = BLOCK_QUBITS + 1 a read-only half state that _statevec keeps once
+    per size, above it written into the first layer buffer. Every result is bit-identical to simulating all p layers afresh.
 
     Every function that evaluates a graph builds the evaluator it uses, and
     none is passed between functions; adam_fipso_optimize's loss and its

@@ -74,6 +74,17 @@ class TestOptimize:
         assert main(["optimize", missing]) == 1
         assert "absent.json" in capsys.readouterr().err
 
+    def test_edgeless_graph_exits_one(self, graph_file, capsys):
+        assert main(["optimize", graph_file("empty.json", Graph(2, ()))]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "edgeless" in captured.err
+
+    def test_unknown_graph_key_exits_one(self, tmp_path, capsys):
+        path = tmp_path / "extra.json"
+        path.write_text('{"n": 2, "edges": [[0, 1]], "extra": 1}')
+        assert main(["optimize", str(path)]) == 1
+        assert "'extra'" in capsys.readouterr().err
+
     def test_config_file_applies(self, graph_file, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"swarm_size": 4, "max_iters": 3}))

@@ -297,6 +297,7 @@ class TestGraphIo:
         ('{"n": 0, "edges": []}', GraphValidationError),
         ('{"n": 3, "edges": [[true, false]]}', GraphParseError),
         ('{"n": 3, "edges": 5}', GraphParseError),
+        ('{"n": 3, "edges": [[0, 1]], "extra": 1}', GraphParseError),
     ])
     def test_malformed_fields_rejected(self, tmp_path, text, error):
         path = tmp_path / "g.json"

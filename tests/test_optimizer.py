@@ -423,6 +423,16 @@ class TestAdamFipsoOptimize:
         with pytest.raises(ValueError):
             adam_fipso_optimize(P2, 0, 1.0, SwarmConfig())
 
+    @pytest.mark.parametrize("g", [Graph(1, ()), Graph(2, ())], ids=["n1", "n2"])
+    def test_edgeless_graph_rejected_before_any_evaluation(self, g, monkeypatch):
+        # Every angle gives a cut of 0, so there is nothing to optimize; the
+        # same rule as random_baseline's.
+        import swarmcut.optimizer as optimizer
+
+        monkeypatch.setattr(optimizer, "minimize", lambda *args: pytest.fail("the swarm ran"))
+        with pytest.raises(ValueError, match="edgeless"):
+            adam_fipso_optimize(g, 1, 0.0, SwarmConfig())
+
 
 class TestSwarmConfig:
     def test_defaults_valid(self):

@@ -38,13 +38,10 @@ def symmetric_state(n, seed):
 
 
 def frame(n):
-    """phi[z] / psi[z] for the half state a MixerPlan of n qubits keeps: 1 for
-    a folded layer, i^popcount(z) in the real frame of the _statevec module
-    docstring above FOLD_QUBITS half-state qubits."""
+    """phi[z] / psi[z] for the half state a MixerPlan of n qubits keeps:
+    i^popcount(z), the real frame of the _statevec module docstring."""
     z = np.arange(1 << (n - 1))
-    if n - 1 <= _statevec.FOLD_QUBITS:
-        return np.ones(z.size)
-    popcount = sum((z >> q) & 1 for q in range(n - 1))
+    popcount = sum(((z >> q) & 1 for q in range(n - 1)), np.zeros_like(z))
     return np.array([1, 1j, -1, -1j])[popcount % 4]
 
 
@@ -140,7 +137,8 @@ class TestInitPlusState:
         np.testing.assert_allclose(self.initial_half(1), [1 / math.sqrt(2)])
 
     def test_two_qubits(self):
-        np.testing.assert_allclose(self.initial_half(2), [0.5] * 2)
+        # Amplitude z = 1 carries the frame's factor i.
+        np.testing.assert_allclose(self.initial_half(2), [0.5, 0.5j])
 
     def test_norm_sixteen_qubits(self):
         assert abs(half_norm(self.initial_half(16)) - 1.0) < 1e-12
@@ -358,12 +356,16 @@ class TestBitFlipSymmetry:
         # On a symmetric state, column b >= 2^(n-1) of the dense mixer meets
         # the amplitude of its mirror 2^n - 1 - b, so the half-state matrix
         # adds the mirrored right half of the top rows to their left half.
+        # The folded matrix is that matrix in the frame, S U S^dagger,
+        # transposed for the product from the right.
         size = 1 << (n - 1)
+        to_frame = frame(n)
         for beta in (0.0, 0.43, -2.1, math.pi / 2):
             dense = dense_mixer(n, beta)[:size]
             expected = dense[:, :size] + dense[:, size:][:, ::-1]
             folded, = _statevec._layer_matrices(n - 1, beta)
-            np.testing.assert_allclose(folded, expected, rtol=0, atol=1e-13)
+            np.testing.assert_allclose(folded.T, to_frame[:, None] * expected * to_frame.conj(),
+                                       rtol=0, atol=1e-13)
 
     # n = 6 is the largest folded layer, n = 7 the smallest group chain.
     @pytest.mark.parametrize("n", [1, 2, 4, 5, 6, 7, 9, 13])
@@ -719,6 +721,8 @@ class TestGroupMixerMemo:
                 fresh = _statevec._layer_matrices.__wrapped__(qubits, beta)
                 sizes = [qubits] if fold else [k for k, _ in _statevec._groups(qubits)]
                 assert [m.shape for m in matrices] == [(1 << k, 1 << k) for k in sizes]
+                # The folded product is complex at every n; a real dtype would be cast per call.
+                assert [m.dtype for m in matrices] == [np.complex128 if fold else np.float64] * len(sizes)
                 assert len(fresh) == len(matrices)
                 for m, expected in zip(matrices, fresh):
                     assert not m.flags.writeable
@@ -905,11 +909,14 @@ class TestMixerKernel:
         with pytest.raises(ValueError, match="2\\^m amplitudes"):
             _statevec.MixerPlan(state, np.empty_like(state))
 
-    def test_single_precision_above_the_fold_rejected(self):
-        # The real frame multiplies the complex128 state's float64 view.
-        state = np.zeros(1 << 6, dtype=np.complex64)
-        with pytest.raises(ValueError, match="complex128"):
-            _statevec.MixerPlan(state, np.empty_like(state))
+    def test_single_precision_rejected(self):
+        # The real products multiply the complex128 state's float64 view, and
+        # the folded product writes complex128 into the state: a folded size
+        # (2^3 amplitudes) and a group chain (2^6) refuse complex64 alike.
+        for qubits in (3, 6):
+            state = np.zeros(1 << qubits, dtype=np.complex64)
+            with pytest.raises(ValueError, match="complex128"):
+                _statevec.MixerPlan(state, np.empty_like(state))
 
     def test_strided_state(self):
         state = random_state(7, 4)[::2]
