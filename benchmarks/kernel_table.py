@@ -12,8 +12,9 @@ over enough calls to last at least 0.2 s; each cell of the table holds
 the median over rounds and, as its spread, the lowest and highest round.
 With two sources or more, each source after the first also gets a paired
 ratio: per round, its time over the first source's in the same round,
-with the median, lowest and highest over rounds. The two run one after the
-other, so drift that spreads the rounds largely cancels in their ratio.
+with the median, lowest and highest over rounds. Within a round the sources
+run one after the other, so drift that spreads the rounds largely cancels
+in the ratio.
 Two sources that are one checkout (``--src a=src --src b=src``) give the
 table's noise floor: a difference between sources means something only
 where its ratio's spread excludes 1 and is wider than theirs. The graph is
@@ -78,10 +79,10 @@ def _cells(key: str, by_label: dict[str, list[float]]) -> dict:
     """A column's cells: per source, the median of the rounds and their
     spread, at 0.1 us resolution in every column, ms ones included; after
     the first source, also the spread of its per-round ratio to the first."""
-    rounds = list(by_label.values())
+    first = next(iter(by_label.values()))
     cells = {label: _spread(v, 4 if key.endswith("_ms") else 1) for label, v in by_label.items()}
     for label, v in list(by_label.items())[1:]:
-        cells[label]["ratio"] = _spread([a / b for a, b in zip(v, rounds[0], strict=True)], 3)
+        cells[label]["ratio"] = _spread([a / b for a, b in zip(v, first, strict=True)], 3)
     return cells
 
 
