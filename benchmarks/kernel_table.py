@@ -1,5 +1,5 @@
 """Per-n kernel timings: a p = 3 layer, expectation, gradient and particle step,
-and one depth-1 landscape.
+and one depth-1 landscape; and the memory one p = 3 expectation allocates.
 
     python3 benchmarks/kernel_table.py --src new=src --src old=../old/src > table.json
 
@@ -34,7 +34,11 @@ memo. A swarm run instead builds new ones for each particle step, which the
 particle step column charges: each call is a gradient at angles no earlier
 call used, then one position evaluation a step of STEP away in every angle,
 13 expectations. The landscape is one 64 x 64 landscape_grid over the
-default (-pi, pi) ranges, in ms.
+default (-pi, pi) ranges, in ms. eval_alloc_kib is the tracemalloc peak,
+in KiB, of one full p = 3 expectation after the timings have warmed the
+evaluator: the state-sized temporaries a call allocates on top of the
+evaluator's own buffers, which tracemalloc sees because NumPy reports its
+data buffers to it. It is the same in every round.
 BLAS keeps its default thread count; OPENBLAS_NUM_THREADS, when set, is
 recorded.
 """
@@ -50,6 +54,7 @@ import statistics
 import subprocess
 import sys
 import timeit
+import tracemalloc
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -77,7 +82,7 @@ def _spread(values: list[float], digits: int) -> dict:
 
 def _cells(key: str, by_label: dict[str, list[float]]) -> dict:
     """A column's cells: per source, the median of the rounds and their
-    spread, at 0.1 us resolution in every column, ms ones included; after
+    spread, at 0.1 resolution in every column but the ms ones; after
     the first source, also the spread of its per-round ratio to the first."""
     first = next(iter(by_label.values()))
     cells = {label: _spread(v, 4 if key.endswith("_ms") else 1) for label, v in by_label.items()}
@@ -115,9 +120,18 @@ def measure(n: int) -> dict:
         finite_diff_grad(expectation, at, FD_STEP)
         expectation(at - STEP)
 
+    def eval_alloc_kib():
+        tracemalloc.start()
+        try:
+            ev.expectation(*next(angles))
+            return tracemalloc.get_traced_memory()[1] / 1024
+        finally:
+            tracemalloc.stop()
+
     return {
         "layer_us": _median_us(lambda: ev.expectation(*next(last_layer))),
         "eval_p3_us": _median_us(lambda: ev.expectation(*next(angles))),
+        "eval_alloc_kib": eval_alloc_kib(),
         "fd_grad_p3_us": _median_us(lambda: finite_diff_grad(expectation, theta, FD_STEP)),
         "particle_step_p3_us": _median_us(particle_step),
         "landscape_ms": _median_us(lambda: landscape_grid(g, resolution=64)) / 1e3,
@@ -164,7 +178,8 @@ def main(argv=None) -> int:
         "what": "us per p = 3 evaluator call that redoes its last layer, per full p = 3 "
                 "expectation, per p = 3 finite-difference gradient (12 expectations) and "
                 "per p = 3 particle step at fresh angles (gradient plus position "
-                "evaluation), and ms per 64 x 64 depth-1 landscape_grid: median, min and "
+                "evaluation), KiB of tracemalloc peak per full p = 3 expectation after "
+                "warm-up, and ms per 64 x 64 depth-1 landscape_grid: median, min and "
                 f"max over {ROUNDS} alternating rounds of the median of {REPEATS} repeats, "
                 "and for each source after the first, ratio: median, min and max over rounds "
                 "of its time over the first source's in the same round; G(n, 0.5) seed 0",

@@ -12,10 +12,8 @@ import csv
 import hashlib
 import json
 import math
-import multiprocessing
 import typing
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -236,6 +234,10 @@ def iter_suite(cfg: SuiteConfig, jobs: int = 1):
 
 
 def _pooled(jobs: int, tasks):
+    # Imported here, so that a run on one process never loads the pool.
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=jobs, mp_context=multiprocessing.get_context("spawn")) as executor:
         yield from executor.map(_run_cell, tasks)
 

@@ -85,6 +85,11 @@ class SwarmConfig:
         for name in ("epsilon", "fd_step"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        # Probes 2 * fd_step apart span a whole box edge, so the difference
+        # no longer reads the local slope and Adam steps on noise.
+        width = min(hi - lo for lo, hi in self.bounds or (DEFAULT_BOUND,))
+        if self.fd_step >= width / 2:
+            raise ValueError(f"fd_step must be less than half the narrowest bound width {width}, got {self.fd_step}")
         # Zero means no social pull, no Adam step or no ratio penalty; a
         # negative c, eta or lambda would push the swarm up the loss.
         for name in ("c", "eta", "lambda_"):

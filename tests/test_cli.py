@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import swarmcut
 from swarmcut import Graph, generate_er, write_graph
 from swarmcut.cli import main
 
@@ -262,6 +267,19 @@ class TestRunSuite:
         assert main(["run-suite", *SMALL_SUITE_FLAGS, "--jobs", "2", "--out", str(out_b)]) == 0
         assert out_a.read_bytes() == out_b.read_bytes()
 
+    def test_one_job_loads_no_process_pool(self, tmp_path):
+        # Only --jobs > 1 runs the pool, so a run on one process never imports it.
+        argv = ["run-suite", "--models", "er", "--nodes", "3..3", "--depths", "1", "--instances", "1",
+                "--jobs", "1", "--out", str(tmp_path / "r.csv")]
+        code = (f"import sys\nfrom swarmcut.cli import main\nassert main({argv!r}) == 0\n"
+                "print([m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules])")
+        src = str(Path(swarmcut.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                             check=True).stdout
+        assert out.splitlines()[-1] == "[]"
+        assert (tmp_path / "r.csv").exists()
+
     def test_unwritable_out_path(self, tmp_path, capsys):
         out = tmp_path / "no_such_dir" / "r.csv"
         assert main(["run-suite", *SMALL_SUITE_FLAGS, "--out", str(out)]) == 1
@@ -339,6 +357,8 @@ class TestConfigFile:
                                       # Unchecked, the width hi - lo overflowed in the
                                       # swarm's first draw: optimize exited 1, run-suite 0.
                                       '{"bounds": [[-1e308, 1e308]]}',
+                                      # Accepted, it turned adam_fd into FIPSO without Adam.
+                                      '{"fd_step": 1e300}',
                                       pytest.param('{"eta": 1%s}' % ("0" * 400), id="eta-400-digits")])
     @pytest.mark.parametrize("command", ["run-suite", "optimize"])
     def test_bad_config_is_usage_error(self, quick_argv, tmp_path, capsys, text, command):

@@ -457,6 +457,18 @@ class TestSwarmConfig:
         with pytest.raises(ValueError):
             SwarmConfig(**kwargs)
 
+    @pytest.mark.parametrize("kwargs", [{"fd_step": 1e300}, {"fd_step": math.pi},
+                                        {"fd_step": 0.5, "bounds": [(-3.0, 3.0), (0.0, 1.0)]}])
+    def test_fd_step_spanning_the_box_rejected(self, kwargs):
+        # Probes that far apart read no slope: adam_fd would quietly become
+        # FIPSO without Adam.
+        with pytest.raises(ValueError, match="fd_step"):
+            SwarmConfig(**kwargs)
+
+    def test_fd_step_below_half_the_narrowest_width_accepted(self):
+        assert SwarmConfig(fd_step=0.49, bounds=[(-3.0, 3.0), (0.0, 1.0)]).fd_step == 0.49
+        assert SwarmConfig(fd_step=math.nextafter(math.pi, 0)).fd_step < math.pi
+
     def test_json_lambda_alias(self):
         cfg = SwarmConfig.from_dict({"lambda": 2.5, "swarm_size": 8})
         assert cfg.lambda_ == 2.5
@@ -552,7 +564,8 @@ class TestBox:
 
 
 _finite = st.floats(-10.0, 10.0)
-_pair = st.tuples(_finite, _finite).filter(lambda b: b[0] < b[1])
+# Wider than twice the largest fd_step drawn below, so every drawn config is valid.
+_pair = st.tuples(_finite, _finite).filter(lambda b: b[1] - b[0] > 0.2)
 
 
 @st.composite

@@ -702,10 +702,58 @@ class TestReduction:
             amps = rng.normal(size=size) + 1j * rng.normal(size=size)
             values = rng.integers(0, 40, size).astype(np.float64)
             probs = amps.real ** 2 + amps.imag ** 2
-            value = _statevec.expectation_value(amps, values)
+            value = _statevec.expectation_value(amps, values, np.empty_like(amps))
             if size <= _statevec.REDUCE_CHUNK:
                 assert value == float(probs @ values)
             assert abs(value - math.fsum(probs * values)) <= 1e-13 * value
+
+    def test_bits_of_the_plain_expression_summed_by_chunk(self):
+        # The squares go through the work buffer, but every value keeps the
+        # bits of the plain expression, summed REDUCE_CHUNK dots in order.
+        rng = np.random.default_rng(13)
+        chunk = _statevec.REDUCE_CHUNK
+        for size in (1, 5, chunk, chunk + 1, 3 * chunk + 7):
+            amps = rng.normal(size=size) + 1j * rng.normal(size=size)
+            values = rng.integers(0, 40, size).astype(np.float64)
+            probs = amps.real ** 2 + amps.imag ** 2
+            expected = 0.0
+            for i in range(0, size, chunk):
+                expected += float(probs[i:i + chunk] @ values[i:i + chunk])
+            assert _statevec.expectation_value(amps, values, np.empty_like(amps)) == expected
+
+    @pytest.mark.parametrize("bad", ["short", "complex64", "float64", "same", "overlapping"])
+    def test_bad_work_rejected(self, bad):
+        # The scratch contract of MixerPlan: the state's length and dtype,
+        # and no memory shared with the state.
+        size = 2 * _statevec.REDUCE_CHUNK + 3
+        memory = np.ones(size + 1, dtype=complex)
+        amps, values = memory[:size], np.ones(size)
+        work = {"short": np.empty(size - 1, dtype=complex), "complex64": np.empty(size, dtype=np.complex64),
+                "float64": np.empty(size), "same": amps, "overlapping": memory[1:]}[bad]
+        with pytest.raises(ValueError, match="work"):
+            _statevec.expectation_value(amps, values, work)
+        assert (amps == 1).all()
+
+
+class TestAllocation:
+    @pytest.mark.parametrize("n", [16, pytest.param(22, marks=pytest.mark.slow)])
+    def test_last_layer_allocates_under_half_a_half_state(self, n):
+        # A warmed evaluator call that redoes only its last layer allocates
+        # the phase gather's one REDUCE_CHUNK of phases and no state-sized
+        # temporary; the reduction squares into the scratch buffer.
+        ev = ExpectationEvaluator(generate_er(n, 0.5, seed=n))
+        gamma, betas = [0.41, -0.73, 1.12], ([0.29, 0.57, -0.38], [0.29, 0.57, -0.31])
+        for beta in betas:
+            ev.expectation(gamma, beta)
+        tracemalloc.start()
+        try:
+            value = ev.expectation(gamma, betas[0])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        half_state = (1 << (n - 1)) * np.dtype(np.complex128).itemsize
+        assert peak < half_state // 2
+        assert value == ExpectationEvaluator(generate_er(n, 0.5, seed=n)).expectation(gamma, betas[0])
 
 
 class TestGroupMixerMemo:
