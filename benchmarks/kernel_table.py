@@ -38,7 +38,8 @@ default (-pi, pi) ranges, in ms. eval_alloc_kib is the tracemalloc peak,
 in KiB, of one full p = 3 expectation after the timings have warmed the
 evaluator: the state-sized temporaries a call allocates on top of the
 evaluator's own buffers, which tracemalloc sees because NumPy reports its
-data buffers to it. It is the same in every round.
+data buffers to it. It does not vary between rounds, so its cell holds
+each source's first-round value, with no spread or ratio.
 BLAS keeps its default thread count; OPENBLAS_NUM_THREADS, when set, is
 recorded.
 """
@@ -120,22 +121,18 @@ def measure(n: int) -> dict:
         finite_diff_grad(expectation, at, FD_STEP)
         expectation(at - STEP)
 
-    def eval_alloc_kib():
-        tracemalloc.start()
-        try:
-            ev.expectation(*next(angles))
-            return tracemalloc.get_traced_memory()[1] / 1024
-        finally:
-            tracemalloc.stop()
-
-    return {
+    timings = {
         "layer_us": _median_us(lambda: ev.expectation(*next(last_layer))),
         "eval_p3_us": _median_us(lambda: ev.expectation(*next(angles))),
-        "eval_alloc_kib": eval_alloc_kib(),
         "fd_grad_p3_us": _median_us(lambda: finite_diff_grad(expectation, theta, FD_STEP)),
         "particle_step_p3_us": _median_us(particle_step),
         "landscape_ms": _median_us(lambda: landscape_grid(g, resolution=64)) / 1e3,
     }
+    tracemalloc.start()
+    ev.expectation(*next(angles))
+    timings["eval_alloc_kib"] = round(tracemalloc.get_traced_memory()[1] / 1024, 1)
+    tracemalloc.stop()
+    return timings
 
 
 def main(argv=None) -> int:
@@ -162,7 +159,9 @@ def main(argv=None) -> int:
                                      check=True, capture_output=True, text=True).stdout
                 for key, value in json.loads(out).items():
                     samples.setdefault(key, {}).setdefault(label, []).append(value)
-        row = {"n": n, **{key: _cells(key, by_label) for key, by_label in samples.items()}}
+        alloc = samples.pop("eval_alloc_kib")
+        row = {"n": n, **{key: _cells(key, by_label) for key, by_label in samples.items()},
+               "eval_alloc_kib": {label: v[0] for label, v in alloc.items()}}
         rows.append(row)
         print(json.dumps(row), file=sys.stderr)
 
@@ -178,11 +177,12 @@ def main(argv=None) -> int:
         "what": "us per p = 3 evaluator call that redoes its last layer, per full p = 3 "
                 "expectation, per p = 3 finite-difference gradient (12 expectations) and "
                 "per p = 3 particle step at fresh angles (gradient plus position "
-                "evaluation), KiB of tracemalloc peak per full p = 3 expectation after "
-                "warm-up, and ms per 64 x 64 depth-1 landscape_grid: median, min and "
+                "evaluation), and ms per 64 x 64 depth-1 landscape_grid: median, min and "
                 f"max over {ROUNDS} alternating rounds of the median of {REPEATS} repeats, "
                 "and for each source after the first, ratio: median, min and max over rounds "
-                "of its time over the first source's in the same round; G(n, 0.5) seed 0",
+                "of its time over the first source's in the same round; and KiB of "
+                "tracemalloc peak per full p = 3 expectation after warm-up, from the "
+                "first round; G(n, 0.5) seed 0",
         "machine": {"cpu": cpu, "nproc": os.cpu_count(),
                     "python": platform.python_version(), "numpy": np.__version__,
                     "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS")},

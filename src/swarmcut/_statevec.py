@@ -8,9 +8,8 @@ top qubit pairs z with z ^ 2^m, whose amplitude is a(~(z ^ 2^m)) =
 half[2^m - 1 - z]: a reversal of the half state.
 
 Each kernel has one call form, and the caller owns every buffer it passes:
-apply_mixer takes a MixerPlan, apply_phase_table an output array and
-expectation_value a work array. The evaluator builds its buffers and plans
-once.
+apply_mixer takes a MixerPlan, apply_phase_table an output array. The
+evaluator builds its buffers and plans once.
 
 The real frame. Every half state is kept in the frame phi = S^(x m) psi,
 S = diag(1, i) on each of its m qubits, so phi[z] = i^popcount(z) psi[z].
@@ -388,7 +387,7 @@ def apply_mixer(amps: np.ndarray, n: int, beta: float, plan: MixerPlan) -> None:
         np.matmul(src, matrices[j], out=dst)
 
 
-def expectation_value(amps: np.ndarray, values: np.ndarray, work: np.ndarray) -> float:
+def expectation_value(amps: np.ndarray, values: np.ndarray) -> float:
     """Sum over basis states of |amplitude|^2 times the diagonal value; pass
     float64 values, or the product converts them on every call.
 
@@ -397,25 +396,21 @@ def expectation_value(amps: np.ndarray, values: np.ndarray, work: np.ndarray) ->
     sum therefore adds dots of REDUCE_CHUNK elements in index order; a state
     of one chunk is one dot.
 
-    work is a complex128 array of the state's length that shares no memory
-    with amps; a longer state squares its parts into it, re^2 into the first
-    half of its float64 view and im^2 into the second, and adds them in
-    place, so the call allocates nothing state-sized. A state of one chunk
-    neither reads nor checks it: its few temporaries cost less than the
-    buffered form's extra calls.
+    A longer state squares each chunk's parts into two chunk-sized float64
+    arrays, allocated once per call, so its squares never take a state's
+    size; a state of one chunk keeps the plain expression, whose few
+    temporaries cost less than the extra calls.
     """
-    size = amps.size
-    if size <= REDUCE_CHUNK:
+    if amps.size <= REDUCE_CHUNK:
         return float((amps.real ** 2 + amps.imag ** 2) @ values)
-    if (work.shape != (size,) or work.dtype != np.complex128 or not work.flags.c_contiguous
-            or np.may_share_memory(amps, work)):
-        raise ValueError("work must be a separate contiguous complex128 array of the state's length")
-    floats = work.view(np.float64)
-    probs, im2 = floats[:size], floats[size:]
-    np.square(amps.real, out=probs)
-    np.square(amps.imag, out=im2)
-    np.add(probs, im2, out=probs)
+    probs, im2 = np.empty((2, REDUCE_CHUNK))
     total = 0.0
-    for i in range(0, size, REDUCE_CHUNK):
-        total += float(probs[i:i + REDUCE_CHUNK] @ values[i:i + REDUCE_CHUNK])
+    for i in range(0, amps.size, REDUCE_CHUNK):
+        chunk = amps[i:i + REDUCE_CHUNK]
+        if chunk.size < REDUCE_CHUNK:
+            probs, im2 = probs[:chunk.size], im2[:chunk.size]
+        np.square(chunk.real, out=probs)
+        np.square(chunk.imag, out=im2)
+        np.add(probs, im2, out=probs)
+        total += float(probs @ values[i:i + REDUCE_CHUNK])
     return total

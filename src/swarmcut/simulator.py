@@ -78,8 +78,7 @@ class ExpectationEvaluator:
     gamma_k, or the restore after it, rebuilds row k alone, and a probe of a
     beta rebuilds none. A depth-p call thus holds p layer buffers and
     one scratch buffer, allocated once, so an optimizer can evaluate
-    thousands of parameter vectors without reallocating state-sized arrays;
-    the reduction squares the final state into the scratch buffer too.
+    thousands of parameter vectors without reallocating state-sized arrays.
     Each layer buffer comes with its _statevec.MixerPlan, checked and built
     when the buffer is allocated, and a layer's phase product goes where
     that plan reads, so no layer copies its result back. The buffers hold
@@ -145,7 +144,7 @@ class ExpectationEvaluator:
                 _statevec.apply_phase_table(amps, self._indices, rows[k][1], plans[k].source)
                 _statevec.apply_mixer(layers[k], self.n, betas[k], plans[k])
             self._depth = p
-        return _statevec.expectation_value(layers[p - 1], self._values, scratch)
+        return _statevec.expectation_value(layers[p - 1], self._values)
 
 
 def qaoa_expectation(g: Graph, params: QaoaParams) -> float:

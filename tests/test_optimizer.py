@@ -4,11 +4,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from swarmcut import Graph, SwarmConfig, adam_fipso_optimize, generate_er
 from swarmcut.optimizer import (
+    DEFAULT_BOUND,
     MODES,
     adam_update,
     approx_ratio,
@@ -564,19 +565,21 @@ class TestBox:
 
 
 _finite = st.floats(-10.0, 10.0)
-# Wider than twice the largest fd_step drawn below, so every drawn config is valid.
-_pair = st.tuples(_finite, _finite).filter(lambda b: b[1] - b[0] > 0.2)
+_pair = st.tuples(_finite, _finite).filter(lambda b: b[0] < b[1])
 
 
 @st.composite
 def _bounds(draw):
+    """Bounds in one of their JSON forms, and the narrowest width they give."""
     kind = draw(st.sampled_from(["none", "bare", "one", "per_angle"]))
     if kind == "none":
-        return None
+        return None, DEFAULT_BOUND[1] - DEFAULT_BOUND[0]
     if kind == "bare":
-        return list(draw(_pair))
+        lo, hi = draw(_pair)
+        return [lo, hi], hi - lo
     count = 1 if kind == "one" else 2 * draw(st.integers(1, 3))
-    return [list(draw(_pair)) for _ in range(count)]
+    pairs = [draw(_pair) for _ in range(count)]
+    return [list(b) for b in pairs], min(hi - lo for lo, hi in pairs)
 
 
 @given(
@@ -584,11 +587,18 @@ def _bounds(draw):
     w=st.tuples(st.floats(0.0, 2.0), st.floats(0.0, 2.0)).map(sorted),
     c=st.floats(0.0, 10.0), eta=st.floats(1e-6, 1.0),
     betas=st.tuples(st.floats(0.01, 0.99), st.floats(0.01, 0.99)),
-    epsilon=st.floats(1e-12, 1e-3), lambda_=st.floats(0.0, 10.0), fd_step=st.floats(1e-8, 1e-1),
+    epsilon=st.floats(1e-12, 1e-3), lambda_=st.floats(0.0, 10.0),
+    step_fraction=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
     bounds=_bounds(), mode=st.sampled_from(MODES), seed=st.integers(0, 2 ** 64 - 1),
 )
 def test_config_json_round_trip(swarm_size, max_iters, w, c, eta, betas, epsilon, lambda_,
-                                fd_step, bounds, mode, seed):
+                                step_fraction, bounds, mode, seed):
+    # fd_step is drawn below half the narrowest width, the largest valid
+    # step, so boxes of any width stay in the draw; only a product that
+    # rounds to 0 or up to the limit leaves it.
+    bounds, width = bounds
+    fd_step = step_fraction * (width / 2)
+    assume(0 < fd_step < width / 2)
     cfg = SwarmConfig(swarm_size=swarm_size, max_iters=max_iters, w_min=w[0], w_max=w[1], c=c,
                       eta=eta, adam_beta1=betas[0], adam_beta2=betas[1], epsilon=epsilon,
                       lambda_=lambda_, fd_step=fd_step, bounds=bounds, mode=mode, seed=seed)

@@ -702,14 +702,14 @@ class TestReduction:
             amps = rng.normal(size=size) + 1j * rng.normal(size=size)
             values = rng.integers(0, 40, size).astype(np.float64)
             probs = amps.real ** 2 + amps.imag ** 2
-            value = _statevec.expectation_value(amps, values, np.empty_like(amps))
+            value = _statevec.expectation_value(amps, values)
             if size <= _statevec.REDUCE_CHUNK:
                 assert value == float(probs @ values)
             assert abs(value - math.fsum(probs * values)) <= 1e-13 * value
 
     def test_bits_of_the_plain_expression_summed_by_chunk(self):
-        # The squares go through the work buffer, but every value keeps the
-        # bits of the plain expression, summed REDUCE_CHUNK dots in order.
+        # The squares go through chunk-sized buffers, but every value keeps
+        # the bits of the plain expression, summed REDUCE_CHUNK dots in order.
         rng = np.random.default_rng(13)
         chunk = _statevec.REDUCE_CHUNK
         for size in (1, 5, chunk, chunk + 1, 3 * chunk + 7):
@@ -719,20 +719,7 @@ class TestReduction:
             expected = 0.0
             for i in range(0, size, chunk):
                 expected += float(probs[i:i + chunk] @ values[i:i + chunk])
-            assert _statevec.expectation_value(amps, values, np.empty_like(amps)) == expected
-
-    @pytest.mark.parametrize("bad", ["short", "complex64", "float64", "same", "overlapping"])
-    def test_bad_work_rejected(self, bad):
-        # The scratch contract of MixerPlan: the state's length and dtype,
-        # and no memory shared with the state.
-        size = 2 * _statevec.REDUCE_CHUNK + 3
-        memory = np.ones(size + 1, dtype=complex)
-        amps, values = memory[:size], np.ones(size)
-        work = {"short": np.empty(size - 1, dtype=complex), "complex64": np.empty(size, dtype=np.complex64),
-                "float64": np.empty(size), "same": amps, "overlapping": memory[1:]}[bad]
-        with pytest.raises(ValueError, match="work"):
-            _statevec.expectation_value(amps, values, work)
-        assert (amps == 1).all()
+            assert _statevec.expectation_value(amps, values) == expected
 
 
 class TestAllocation:
@@ -740,7 +727,7 @@ class TestAllocation:
     def test_last_layer_allocates_under_half_a_half_state(self, n):
         # A warmed evaluator call that redoes only its last layer allocates
         # the phase gather's one REDUCE_CHUNK of phases and no state-sized
-        # temporary; the reduction squares into the scratch buffer.
+        # temporary; the reduction squares one chunk at a time.
         ev = ExpectationEvaluator(generate_er(n, 0.5, seed=n))
         gamma, betas = [0.41, -0.73, 1.12], ([0.29, 0.57, -0.38], [0.29, 0.57, -0.31])
         for beta in betas:
