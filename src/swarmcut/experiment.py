@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graphs import (MAX_NODES, Graph, check_int, check_real, generate_er, generate_ws, max_cut_bruteforce,
+from .graphs import (MAX_NODES, Graph, check_int, generate_er, generate_ws, max_cut_bruteforce,
                      one_exchange_cut, ws_k_for)
 from .optimizer import SwarmConfig, adam_fipso_optimize, approx_ratio, random_params
 from .simulator import ExpectationEvaluator
@@ -78,10 +78,12 @@ class SuiteConfig:
     node_hi: int = 16
     instances_per_size: int = 5
     depths: tuple = (1, 2, 3)
-    er_edge_prob: float = 0.5
-    ws_rewire_prob: float = 0.3
     base_seed: int = 0
     swarm: SwarmConfig = field(default_factory=SwarmConfig)
+    # Class constants, not fields: every sweep draws G(n, 0.5) and
+    # Watts-Strogatz graphs rewired with probability 0.3.
+    er_edge_prob = 0.5
+    ws_rewire_prob = 0.3
 
     def __post_init__(self):
         for name in ("models", "depths"):
@@ -106,14 +108,6 @@ class SuiteConfig:
             raise ValueError(f"depths must be distinct entries of (1, 2, 3), got {self.depths}")
         for p in self.depths:
             self.swarm.box(p)
-        for name in ("er_edge_prob", "ws_rewire_prob"):
-            object.__setattr__(self, name, check_real(name, getattr(self, name)))
-        # Zero is excluded because _generate_instance resamples until the
-        # graph has an edge, which never happens at probability 0.
-        if not 0.0 < self.er_edge_prob <= 1.0:
-            raise ValueError(f"er_edge_prob must be in (0, 1], got {self.er_edge_prob}")
-        if not 0.0 <= self.ws_rewire_prob <= 1.0:
-            raise ValueError(f"ws_rewire_prob must be in [0, 1], got {self.ws_rewire_prob}")
         if self.node_hi > 16:
             # stacklevel 3: past __post_init__ and __init__ to the constructor call.
             warnings.warn(f"node_hi={self.node_hi} exceeds 16; statevectors grow as 2^n "

@@ -29,9 +29,9 @@ MODES = ("adam_fd", "adam_swarm", "fipso_plain")
 DEFAULT_BOUND = (-math.pi, math.pi)
 
 
-def _bound_pairs(bounds) -> tuple[tuple[float, float], ...]:
+def _bound_pairs(bounds, fd_step: float) -> tuple[tuple[float, float], ...]:
     """A bare (lo, hi) pair or a sequence of them, as a tuple of finite float
-    pairs whose width hi - lo is finite too."""
+    pairs whose width hi - lo is finite too and more than 2 * fd_step."""
     try:
         pairs = [tuple(bounds)] if all(isinstance(x, numbers.Real) for x in bounds) else [tuple(b) for b in bounds]
     except TypeError:
@@ -45,6 +45,11 @@ def _bound_pairs(bounds) -> tuple[tuple[float, float], ...]:
         # The swarm draws uniformly from [lo, hi), which needs a finite width.
         if not math.isfinite(hi - lo):
             raise ValueError(f"bounds ({lo}, {hi}) must have a finite width hi - lo")
+    # Probes 2 * fd_step apart span a whole box edge, so the difference
+    # no longer reads the local slope and Adam steps on noise.
+    width = min(hi - lo for lo, hi in checked)
+    if fd_step >= width / 2:
+        raise ValueError(f"fd_step must be less than half the narrowest bound width {width}, got {fd_step}")
     return checked
 
 
@@ -72,8 +77,6 @@ class SwarmConfig:
     _JSON_KEYS = {"lambda_": "lambda"}
 
     def __post_init__(self):
-        if self.bounds is not None:
-            object.__setattr__(self, "bounds", _bound_pairs(self.bounds))
         for name, low in (("swarm_size", 2), ("max_iters", 1), ("seed", 0)):
             object.__setattr__(self, name, check_int(name, getattr(self, name), low))
         for name in ("w_max", "w_min", "c", "eta", "adam_beta1", "adam_beta2", "epsilon", "lambda_", "fd_step"):
@@ -85,11 +88,10 @@ class SwarmConfig:
         for name in ("epsilon", "fd_step"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
-        # Probes 2 * fd_step apart span a whole box edge, so the difference
-        # no longer reads the local slope and Adam steps on noise.
-        width = min(hi - lo for lo, hi in self.bounds or (DEFAULT_BOUND,))
-        if self.fd_step >= width / 2:
-            raise ValueError(f"fd_step must be less than half the narrowest bound width {width}, got {self.fd_step}")
+        if self.bounds is None:
+            _bound_pairs(DEFAULT_BOUND, self.fd_step)
+        else:
+            object.__setattr__(self, "bounds", _bound_pairs(self.bounds, self.fd_step))
         # Zero means no social pull, no Adam step or no ratio penalty; a
         # negative c, eta or lambda would push the swarm up the loss.
         for name in ("c", "eta", "lambda_"):
@@ -226,8 +228,8 @@ def adam_update(m, v2, t: int, grad, beta1: float, beta2: float,
 
 
 def random_params(p: int, rng) -> np.ndarray:
-    """One uniform draw from [-pi, pi]^(2p)."""
-    return rng.uniform(-math.pi, math.pi, size=2 * check_int("p", p, 1))
+    """One uniform draw from DEFAULT_BOUND^(2p)."""
+    return rng.uniform(*DEFAULT_BOUND, size=2 * check_int("p", p, 1))
 
 
 def minimize(f: Callable[[np.ndarray], float], bounds, cfg: SwarmConfig) -> OptimizeResult:
@@ -236,12 +238,14 @@ def minimize(f: Callable[[np.ndarray], float], bounds, cfg: SwarmConfig) -> Opti
 
     bounds holds one finite (lo, hi) pair with lo < hi per dimension, or is a
     bare pair for one dimension; SwarmConfig.box(p) builds it for 2p angles.
+    As in SwarmConfig, a cfg.fd_step of at least half the narrowest width
+    raises ValueError before any evaluation.
 
     One RNG stream drives everything, drawn in a fixed order: initial
     positions, then per iteration and per particle the social scalars,
     then (adam_swarm only) the influence scalars.
     """
-    lo, hi = np.array(_bound_pairs(bounds)).T
+    lo, hi = np.array(_bound_pairs(bounds, cfg.fd_step)).T
     dim = lo.size
     s_count, t_max = cfg.swarm_size, cfg.max_iters
     rng = np.random.default_rng(cfg.seed)
@@ -306,10 +310,10 @@ def minimize(f: Callable[[np.ndarray], float], bounds, cfg: SwarmConfig) -> Opti
 def adam_fipso_optimize(g: Graph, p: int, c_target: float, cfg: SwarmConfig) -> OptimizeResult:
     """Optimize the 2p QAOA angles of g against a classical target cut. The
     loss and best_expectation share one ExpectationEvaluator of g, built here."""
-    p = check_int("p", p, 1)
+    box = cfg.box(p)
     if g.edge_count == 0:
         raise ValueError("the swarm is undefined for an edgeless graph: its loss is constant")
     ev = ExpectationEvaluator(g)
-    result = minimize(make_objective(ev, c_target, cfg.lambda_), cfg.box(p), cfg)
+    result = minimize(make_objective(ev, c_target, cfg.lambda_), box, cfg)
     result.best_expectation = ev.expectation(result.best_position[:p], result.best_position[p:])
     return result

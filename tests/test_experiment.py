@@ -24,6 +24,7 @@ from swarmcut.experiment import (
     write_records_json,
     write_report_csv,
 )
+from swarmcut.graphs import MAX_NODES
 from swarmcut.simulator import ExpectationEvaluator
 
 P2 = Graph(2, ((0, 1),))
@@ -238,10 +239,10 @@ class TestSuiteConfig:
     @pytest.mark.parametrize("kwargs", [
         {"node_lo": 2}, {"node_lo": 5, "node_hi": 4}, {"node_hi": 25},
         {"models": ()}, {"models": ("ER", "BA")}, {"depths": (0,)},
-        {"depths": (4,)}, {"instances_per_size": 0}, {"er_edge_prob": 1.5},
-        {"er_edge_prob": 0.0}, {"base_seed": -1}, {"base_seed": 1.5}, {"base_seed": True},
+        {"depths": (4,)}, {"instances_per_size": 0},
+        {"base_seed": -1}, {"base_seed": 1.5}, {"base_seed": True},
         {"depths": (1, 1)}, {"depths": (True,)}, {"depths": (1.0,)}, {"models": ("ER", "er")},
-        {"er_edge_prob": "0.5"}, {"swarm": SwarmConfig(bounds=[(0.0, 1.0)] * 4)},
+        {"swarm": SwarmConfig(bounds=[(0.0, 1.0)] * 4)},
         {"depths": 3}, {"models": 3}, {"depths": ([1],)},
     ])
     def test_invalid(self, kwargs):
@@ -268,10 +269,16 @@ class TestSuiteConfig:
             dataclasses.replace(SuiteConfig(), node_lo=2)
 
     def test_checked_at_construction(self):
-        # run_instance does not check its config; at er_edge_prob = 0 it
-        # would resample edgeless graphs forever.
-        with pytest.raises(ValueError, match="er_edge_prob"):
-            SuiteConfig(er_edge_prob=0.0)
+        # run_instance does not check its config; a sweep to node_hi = 25
+        # would run every smaller cell before its first n = 25 cell failed.
+        with pytest.raises(ValueError, match="node_hi"):
+            SuiteConfig(node_hi=MAX_NODES + 1)
+
+    def test_graph_model_probabilities_are_fixed(self):
+        with pytest.raises(TypeError):
+            SuiteConfig(er_edge_prob=0.4)
+        assert SuiteConfig().er_edge_prob == 0.5
+        assert SuiteConfig().ws_rewire_prob == 0.3
 
     def test_bounds_checked_at_every_depth(self):
         swarm = SwarmConfig(bounds=[(0.0, 1.0)] * 4)
@@ -281,14 +288,11 @@ class TestSuiteConfig:
 
     def test_numpy_scalars_stored_as_plain_numbers(self):
         cfg = SuiteConfig(node_lo=np.int64(3), node_hi=np.int32(4), instances_per_size=np.uint8(2),
-                          depths=np.array([2, 1]), er_edge_prob=np.float32(0.5),
-                          ws_rewire_prob=np.float64(0.25), base_seed=np.int64(7))
+                          depths=np.array([2, 1]), base_seed=np.int64(7))
         counts = (cfg.node_lo, cfg.node_hi, cfg.instances_per_size, cfg.base_seed, *cfg.depths)
         assert all(type(v) is int for v in counts)
-        assert (type(cfg.er_edge_prob), type(cfg.ws_rewire_prob)) == (float, float)
         assert cfg.depths == (1, 2)
-        assert cfg == SuiteConfig(node_lo=3, node_hi=4, instances_per_size=2, depths=(1, 2),
-                                  er_edge_prob=0.5, ws_rewire_prob=0.25, base_seed=7)
+        assert cfg == SuiteConfig(node_lo=3, node_hi=4, instances_per_size=2, depths=(1, 2), base_seed=7)
 
     def test_models_normalized(self):
         cfg = SuiteConfig(models=("ws", "er"))

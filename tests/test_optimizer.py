@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from swarmcut import Graph, SwarmConfig, adam_fipso_optimize, generate_er
@@ -292,6 +292,18 @@ class TestMinimize:
         cfg = SwarmConfig(swarm_size=4, max_iters=10, seed=0, mode=mode)
         with pytest.raises(ArithmeticError):
             minimize(late_nan, BOX_2D, cfg)
+
+    @pytest.mark.parametrize("bounds", [[(0.0, 1e-3)], (0.0, 1e-3), [(-1.0, 1.0)] * 3 + [(0.0, 1e-3)]])
+    def test_fd_step_spanning_the_box_refused_before_any_evaluation(self, bounds):
+        # Before: all 40 evaluations ran, on probes that spanned the whole box.
+        calls = []
+        with pytest.raises(ValueError, match="fd_step"):
+            minimize(lambda theta: calls.append(theta) or 0.0, bounds, SwarmConfig(swarm_size=4, max_iters=3))
+        assert calls == []
+
+    def test_box_wider_than_twice_fd_step_runs(self):
+        result = minimize(sphere, [(0.0, 2.5e-3)], SwarmConfig(swarm_size=4, max_iters=3))
+        assert result.evaluations == 4 + 3 * 4 * 3
 
     def test_all_modes_respect_bounds(self):
         box = [(-1.0, 2.0), (0.5, 3.0)]
@@ -603,3 +615,43 @@ def test_config_json_round_trip(swarm_size, max_iters, w, c, eta, betas, epsilon
                       eta=eta, adam_beta1=betas[0], adam_beta2=betas[1], epsilon=epsilon,
                       lambda_=lambda_, fd_step=fd_step, bounds=bounds, mode=mode, seed=seed)
     assert SwarmConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
+
+
+def _refusal(call) -> str | None:
+    """The message of the ValueError call raises, or None when it returns."""
+    try:
+        call()
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+_one_float_apart = _finite.map(lambda lo: (lo, math.nextafter(lo, math.inf)))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(pairs=st.lists(st.one_of(_pair, _one_float_apart), min_size=1, max_size=6),
+       fd_step=st.floats(0.0, math.pi, exclude_min=True, exclude_max=True))
+def test_swarm_config_and_minimize_refuse_the_same_boxes(pairs, fd_step):
+    seen = []
+
+    def f(theta):
+        seen.append(theta.copy())
+        return 0.0
+
+    config_refusal = _refusal(lambda: SwarmConfig(bounds=pairs, fd_step=fd_step))
+    minimize_refusal = _refusal(
+        lambda: minimize(f, pairs, SwarmConfig(fd_step=fd_step, swarm_size=2, max_iters=1)))
+    assert (config_refusal is None) == (minimize_refusal is None)
+    if minimize_refusal is not None:
+        assert "fd_step" in config_refusal and "fd_step" in minimize_refusal
+        assert seen == []
+        return
+    # Two initial positions, then per particle 2 * dim central-difference
+    # probes around its unclipped candidate and one call at the clipped
+    # position; the positions are the calls that must lie in the box.
+    lo, hi = np.array(pairs).T
+    block = 2 * lo.size + 1
+    assert len(seen) == 2 + 2 * block
+    for theta in seen[:2] + seen[2 + block - 1::block]:
+        assert (lo <= theta).all() and (theta <= hi).all()
