@@ -366,6 +366,7 @@ COUNT_SITES = [
     ("jobs", lambda v: iter_suite(_ONE_CELL, jobs=v)),
 ]
 
+
 def _minimize_box(v):
     # Named, so its test id stays apart from SwarmConfig's "bounds" entry.
     return minimize(lambda t: 0.0, [(v, 1.0)], SwarmConfig())
