@@ -239,10 +239,10 @@ class TestSuiteConfig:
     @pytest.mark.parametrize("kwargs", [
         {"node_lo": 2}, {"node_lo": 5, "node_hi": 4}, {"node_hi": 25},
         {"models": ()}, {"models": ("ER", "BA")}, {"depths": (0,)},
-        {"depths": (4,)}, {"instances_per_size": 0},
-        {"base_seed": -1}, {"base_seed": 1.5}, {"base_seed": True},
+        {"depths": (4,)}, {"instances_per_size": 0}, {"instances_per_size": 1.5},
+        {"swarm": "default"}, {"base_seed": -1}, {"base_seed": 1.5}, {"base_seed": True},
         {"depths": (1, 1)}, {"depths": (True,)}, {"depths": (1.0,)}, {"models": ("ER", "er")},
-        {"swarm": SwarmConfig(bounds=[(0.0, 1.0)] * 4)},
+        {"node_lo": "3"}, {"swarm": SwarmConfig(bounds=[(0.0, 1.0)] * 4)},
         {"depths": 3}, {"models": 3}, {"depths": ([1],)},
     ])
     def test_invalid(self, kwargs):
